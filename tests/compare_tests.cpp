@@ -183,7 +183,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Server-side and client-side Pequod run the same join machinery on
 // opposite sides of the RPC boundary; on an identical Twip trace their
-// timelines must match entry for entry.
+// timelines must match entry for entry, reached by the same number of
+// eager updates.
 TEST(ClientServerEquivalence, SmallTwipTrace) {
     apps::SocialGraph::Config gcfg;
     gcfg.users = 40;
@@ -212,6 +213,10 @@ TEST(ClientServerEquivalence, SmallTwipTrace) {
                      });
         ASSERT_EQ(a, b) << "timelines diverge for user " << u;
     }
+    // One maintenance algorithm on both sides of the boundary: the same
+    // trace must fan out the same number of eager sink updates.
+    EXPECT_GT(server->stats().server_updates, 0u);
+    EXPECT_EQ(client->stats().server_updates, server->stats().server_updates);
 }
 
 // The modeled costs must order the systems the way Fig 7 does, at least
