@@ -1,17 +1,12 @@
 #include "compare/backend.hh"
 
-#include <algorithm>
 #include <map>
-#include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/base.hh"
-#include "common/interval_map.hh"
-#include "common/rangeset.hh"
 #include "core/server.hh"
-#include "join/join.hh"
 #include "net/message.hh"
 #include "net/network.hh"
 
@@ -77,11 +72,12 @@ namespace {
 // charged per row visited plus a per-query planning cost — and runs the
 // store as one flat heap (no subtables, no output hints).
 
-class PequodBackend final : public Backend {
+class PequodBackend : public Backend {
   public:
     PequodBackend(const char* name, Style style, const ServerConfig& config,
-                  const CostModel& model)
-        : Backend(model), name_(name), style_(style), server_(config) {}
+                  const CostModel& model, RemoteStore* remote = nullptr)
+        : Backend(model), name_(name), style_(style),
+          server_(config, remote) {}
 
     const char* name() const override {
         return name_;
@@ -125,11 +121,8 @@ class PequodBackend final : public Backend {
         return s;
     }
 
-    const Server& server() const {
-        return server_;
-    }
-    Server& server() {
-        return server_;
+    void verify() const override {
+        server_.verify();
     }
 
   protected:
@@ -146,7 +139,6 @@ class PequodBackend final : public Backend {
         account_reply(reply);
     }
 
-  private:
     const char* name_;
     Style style_;
     Server server_;
@@ -154,16 +146,15 @@ class PequodBackend final : public Backend {
 
 // ---- client Pequod ----------------------------------------------------------
 //
-// The same join machinery run *in the client*: a join-less store
-// endpoint holds the data, and the client executes materialization and
-// eager maintenance itself, every source read and sink write a framed
-// net/ message. Fig 7's "client Pequod" bar is the cost of pushing the
+// The same engine run *in the client*: a core::Server whose rows live at
+// a join-less store endpoint (its RemoteStore seam), so every source
+// read is a synchronous kScan and every stored write — client puts and
+// sink emissions alike — a pipelined kPut, framed and counted by
+// net::Network. Fig 7's "client Pequod" bar is the cost of pushing the
 // cache-join abstraction across an RPC boundary.
 
 class KvStoreEndpoint final : public net::Endpoint {
   public:
-    KvStoreEndpoint() : server_(plain_config()) {}
-
     void attach(net::Network* net, int self) {
         net_ = net;
         self_ = self;
@@ -172,15 +163,15 @@ class KvStoreEndpoint final : public net::Endpoint {
     void deliver(int from, net::Message&& m, size_t) override {
         switch (m.type) {
         case net::MsgType::kPut:
-            server_.put(m.key, m.value);
+            store_.put(m.key, m.value);
             break;
         case net::MsgType::kScan: {
             net::Message reply;
             reply.type = net::MsgType::kScanReply;
-            server_.scan(m.key, m.value,
-                         [&reply](const std::string& k, const ValuePtr& v) {
-                             reply.items.emplace_back(k, *v);
-                         });
+            store_.scan(m.key, m.value,
+                        [&reply](const std::string& k, const Entry& e) {
+                            reply.items.emplace_back(k, e.value());
+                        });
             net_->send(self_, from, reply);
             break;
         }
@@ -189,53 +180,33 @@ class KvStoreEndpoint final : public net::Endpoint {
         }
     }
 
-    const Server& server() const {
-        return server_;
+    const Store& store() const {
+        return store_;
     }
 
   private:
-    static ServerConfig plain_config() {
-        ServerConfig config;  // a dumb KV store: no engine optimizations
-        config.enable_output_hints = false;
-        config.enable_value_sharing = false;
-        return config;
-    }
-
-    Server server_;
+    Store store_{true};  // a dumb KV store: no joins, no engine
     net::Network* net_ = nullptr;
     int self_ = -1;
 };
 
-class ClientPequodBackend final : public Backend, private net::Endpoint {
+// The modeled accounting of PequodBackend is replaced by real frames:
+// put and scan go straight to the engine, whose RemoteStore calls are
+// the only traffic, all of it counted by net_.
+class ClientPequodBackend final : private RemoteStore,
+                                  public PequodBackend,
+                                  private net::Endpoint {
   public:
     ClientPequodBackend()
-        : Backend(CostModel()) {
+        : PequodBackend("client pequod", Style::kClientPequod,
+                        ServerConfig(), CostModel(), this) {
         store_id_ = net_.add_endpoint(&store_);
         self_id_ = net_.add_endpoint(this);
         store_.attach(&net_, store_id_);
     }
 
-    const char* name() const override {
-        return "client pequod";
-    }
-    Style style() const override {
-        return Style::kClientPequod;
-    }
-    bool supports_joins() const override {
-        return true;
-    }
-
-    void add_join(const std::string& spec) override {
-        auto sk = std::make_unique<SinkState>();
-        sk->join.parse(spec);
-        if (!sk->join.maintained())
-            throw std::logic_error("client pequod: pull joins unsupported");
-        sk->prefix = sk->join.sink().table_prefix();
-        sinks_.push_back(std::move(sk));
-    }
-
     void put(Str key, Str value) override {
-        client_write(key, value);
+        server_.put(key, value);
     }
 
     void flush() override {
@@ -247,42 +218,32 @@ class ClientPequodBackend final : public Backend, private net::Endpoint {
     }
 
     size_t memory_bytes() const override {
-        // Data lives at the store; the client adds its maintenance
-        // bookkeeping (updaters plus the registration index).
-        return store_.server().memory_stats().total()
-            + updaters_.size() * (sizeof(ClientUpdater) + 96);
+        // Rows live at the store; the client engine holds only routing
+        // and maintenance bookkeeping.
+        return store_.store().memory_stats().total()
+            + PequodBackend::memory_bytes();
     }
 
     BackendStats stats() const override {
-        BackendStats s = stats_;
+        BackendStats s = PequodBackend::stats();
         s.messages = net_.stats().messages;
         s.bytes = net_.stats().bytes;
         return s;
     }
 
+    void verify() const override {
+        PequodBackend::verify();
+        store_.store().verify();
+    }
+
   protected:
     void scan_impl(Str lo, Str hi, const ScanRef& f) override {
-        // Freshen every maintained sink the range overlaps, exactly like
-        // the server engine, then read the store.
-        freshen_overlapping(lo, hi);
-        auto items = rpc_scan(lo, hi);
-        for (const auto& kv : items)
-            f(kv.first, kv.second);
+        server_.scan(lo, hi, [&f](const std::string& key, const ValuePtr& v) {
+            f(key, *v);
+        });
     }
 
   private:
-    struct SinkState {
-        Join join;
-        std::string prefix;
-        RangeSet valid;
-        std::set<std::string, std::less<>> registered;
-    };
-    struct ClientUpdater {
-        SinkState* sink;
-        int source_index;
-        OwnedSlots bound;
-    };
-
     void deliver(int, net::Message&& m, size_t) override {
         if (m.type != net::MsgType::kScanReply)
             throw std::logic_error("client pequod: unexpected message");
@@ -291,7 +252,7 @@ class ClientPequodBackend final : public Backend, private net::Endpoint {
 
     // A pipelined write: framed and counted now, delivered with the
     // batch. Counts toward the next flush's round trip.
-    void rpc_put(Str key, Str value) {
+    void rpc_put(Str key, Str value) override {
         net::Message m;
         m.type = net::MsgType::kPut;
         m.key.assign(key.data(), key.size());
@@ -300,8 +261,7 @@ class ClientPequodBackend final : public Backend, private net::Endpoint {
         pending_batch_ = true;
     }
 
-    std::vector<std::pair<std::string, std::string>> rpc_scan(Str lo,
-                                                              Str hi) {
+    Rows rpc_scan(Str lo, Str hi) override {
         flush();  // reads observe every prior write
         net::Message m;
         m.type = net::MsgType::kScan;
@@ -312,116 +272,11 @@ class ClientPequodBackend final : public Backend, private net::Endpoint {
         return std::move(reply_);
     }
 
-    // Write + stab, mirroring Server::write: derived sink writes run
-    // through here too, so chained maintenance would fire client-side.
-    void client_write(Str key, Str value) {
-        rpc_put(key, value);
-        hits_.clear();
-        umap_.stab(key, [this](const uint32_t& idx) {
-            hits_.push_back(idx);
-        });
-        // hits_ is not re-entered: apply recursion only executes
-        // *downstream* sources, whose writes target sink tables.
-        std::vector<uint32_t> hits;
-        hits.swap(hits_);
-        for (uint32_t idx : hits) {
-            ClientUpdater& u = *updaters_[idx];
-            SlotSet bound = u.bound.view();
-            const Join& join = u.sink->join;
-            if (!join.source(u.source_index).match(key, bound))
-                continue;
-            if (u.source_index + 1 == join.nsource()) {
-                KeyBuf sink_key;
-                join.sink().expand(bound, sink_key);
-                // Through client_write, not rpc_put: the derived sink
-                // write must stab too, or chained joins go stale.
-                client_write(sink_key.view(), value);
-                ++stats_.server_updates;
-            } else {
-                // A non-final source changed: run the rest of the join
-                // under the extended bindings. Re-running on overwrite is
-                // idempotent (same sink keys and values); the registered
-                // set keeps updaters unique.
-                execute(*u.sink, u.source_index + 1, bound);
-            }
-        }
-    }
-
-    void freshen_overlapping(Str lo, Str hi) {
-        for (auto& sk : sinks_) {
-            Str plo(sk->prefix);
-            std::string upper = prefix_successor(sk->prefix);
-            Str phi(upper);
-            bool overlaps = (phi.empty() || lo < phi)
-                && (hi.empty() || plo < hi);
-            if (!overlaps)
-                continue;
-            Str mlo = lo < plo ? plo : lo;
-            Str mhi = min_bound(phi, hi);
-            freshen(*sk, mlo, mhi);
-        }
-    }
-
-    void freshen(SinkState& sk, Str lo, Str hi) {
-        if (sk.valid.covers(lo, hi))
-            return;
-        SlotSet ss = sk.join.sink().derive_slot_set(lo, hi);
-        KeyRange out = sk.join.sink().containing_range(ss);
-        execute(sk, 0, ss);
-        sk.valid.add(out.lo, out.hi);
-    }
-
-    void execute(SinkState& sk, int source_index, const SlotSet& ss) {
-        const Join& join = sk.join;
-        const Pattern& pat = join.source(source_index);
-        KeyRange range = pat.containing_range(ss);
-        bool last = source_index + 1 == join.nsource();
-        // A source may be another join's output (a chained join):
-        // materialize it before scanning, like Server::execute.
-        freshen_overlapping(range.lo, range.hi);
-        std::string dedup(1, static_cast<char>(source_index));
-        for (int slot = 0; slot < kMaxSlots; ++slot) {
-            if (ss.has(slot)) {
-                dedup += '\1';
-                Str v = ss[slot];
-                dedup.append(v.data(), v.size());
-            }
-            dedup += '\0';
-        }
-        if (sk.registered.insert(std::move(dedup)).second) {
-            // unique_ptr so the OwnedSlots storage (which bound views
-            // slice) survives vector growth during recursive execution.
-            updaters_.push_back(std::make_unique<ClientUpdater>(
-                ClientUpdater{&sk, source_index, OwnedSlots(ss)}));
-            umap_.insert(range.lo, range.hi,
-                         static_cast<uint32_t>(updaters_.size() - 1));
-        }
-        auto items = rpc_scan(range.lo, range.hi);
-        for (const auto& kv : items) {
-            SlotSet bound = ss;
-            if (!pat.match(kv.first, bound))
-                continue;
-            if (last) {
-                KeyBuf sink_key;
-                join.sink().expand(bound, sink_key);
-                client_write(sink_key.view(), kv.second);
-            } else {
-                execute(sk, source_index + 1, bound);
-            }
-        }
-    }
-
     net::Network net_;
     KvStoreEndpoint store_;
     int store_id_;
     int self_id_;
-    std::vector<std::pair<std::string, std::string>> reply_;
-    std::vector<std::unique_ptr<SinkState>> sinks_;
-    std::vector<std::unique_ptr<ClientUpdater>> updaters_;
-    // Client-side Pequod runs the join machinery outside the engine, so
-    // it owns its updater map directly. pqlint: allow(intervalmap-mutation)
-    IntervalMap<uint32_t> umap_;
-    std::vector<uint32_t> hits_;
+    Rows reply_;
 };
 
 // ---- Redis and memcached models ---------------------------------------------
@@ -580,13 +435,6 @@ std::unique_ptr<Backend> make_pequod_backend(bool subtables,
         m.per_update_seconds = 2e-6;  // one hinted in-tree sink write
     return std::make_unique<PequodBackend>(
         "pequod", Backend::Style::kServerPequod, config, m);
-}
-
-std::unique_ptr<Backend> make_pequod_backend(bool subtables,
-                                             bool output_hints,
-                                             bool value_sharing) {
-    return make_pequod_backend(subtables, output_hints, value_sharing,
-                               CostModel());
 }
 
 std::unique_ptr<Backend> make_client_pequod_backend() {

@@ -100,6 +100,10 @@ class Backend {
         return false;
     }
 
+    // Re-derive the backend's internal invariants (DESIGN.md §11);
+    // throws InvariantError. Only the engine-backed systems have any.
+    virtual void verify() const {}
+
     virtual size_t memory_bytes() const = 0;
     virtual BackendStats stats() const {
         return stats_;
@@ -145,15 +149,11 @@ using TwipBackend = Backend;
 
 // Server-side Pequod: the in-process engine with its §4.1/§4.2/§4.3
 // optimizations individually switchable (the ablation knobs).
-std::unique_ptr<Backend> make_pequod_backend(bool subtables = true,
-                                             bool output_hints = true,
-                                             bool value_sharing = true);
-std::unique_ptr<Backend> make_pequod_backend(bool subtables,
-                                             bool output_hints,
-                                             bool value_sharing,
-                                             const CostModel& model);
-// Client-side Pequod: the same join logic executed in the client against
-// a join-less store endpoint, every source read a framed net/ message.
+std::unique_ptr<Backend> make_pequod_backend(
+    bool subtables = true, bool output_hints = true,
+    bool value_sharing = true, const CostModel& model = CostModel());
+// Client-side Pequod: the same engine run in the client over a join-less
+// store endpoint, every source read and stored write a framed net/ message.
 std::unique_ptr<Backend> make_client_pequod_backend();
 // Redis model: ordered in-memory store, application-maintained timelines.
 std::unique_ptr<Backend> make_redis_like_backend();

@@ -10,13 +10,7 @@
 namespace pequod {
 
 Table& Server::table_for(Str key) {
-    auto it = tables_.upper_bound(key);
-    if (it != tables_.begin()) {
-        --it;
-        if (key.starts_with(it->first))
-            return it->second;
-    }
-    return root_;
+    return const_cast<Table&>(std::as_const(*this).table_for(key));
 }
 
 const Table& Server::table_for(Str key) const {
@@ -288,16 +282,17 @@ void Server::stab(Table& t, Str key, const Entry& stored, bool inserted) {
             apply_update(*u, key, stored, inserted);
 }
 
-Entry* Server::write(Str key, Str value, WriteHint* hint) {
+void Server::write(Str key, Str value, WriteHint* hint) {
     Table* t = route(key, hint);
+    if (remote_)
+        return write_remote(*t, key, value);
     bool inserted = false;
     Entry* e =
         t->store().put(key, value, hint ? &hint->store : nullptr, &inserted);
     stab(*t, key, *e, inserted);
-    return e;
 }
 
-Entry* Server::write_emitted(Str key, const Entry& src, WriteHint* hint) {
+void Server::write_emitted(Str key, const Entry& src, WriteHint* hint) {
     if (!config_.enable_value_sharing)
         return write(key, src.value(), hint);
     Table* t = route(key, hint);
@@ -306,39 +301,52 @@ Entry* Server::write_emitted(Str key, const Entry& src, WriteHint* hint) {
                                      hint ? &hint->store : nullptr,
                                      &inserted);
     stab(*t, key, *e, inserted);
-    return e;
+}
+
+// The remote store cannot say whether the key existed, so a remote write
+// stabs as an insert: a non-final source re-runs the rest of the join on
+// every write, which is idempotent (same sink keys and values), and
+// Sink::registered keeps the updaters unique.
+void Server::write_remote(Table& t, Str key, Str value) {
+    remote_->rpc_put(key, value);
+    if (t.updaters().empty())
+        return;
+    Entry row;
+    row.set_value(value);
+    stab(t, key, row, true);
+}
+
+void Server::scan_remote(Str lo, Str hi, const RawRef& f) {
+    for (auto& row : remote_->rpc_scan(lo, hi)) {
+        Entry e(std::move(row.second));
+        f(row.first, e);
+    }
 }
 
 void Server::scan_impl(Str lo, Str hi, const ScanRef& f) {
     assert_owner();
     // Freshen every maintained sink the range overlaps; a scan may span
     // several tables (or tables plus unrouted keys).
-    for (auto it = first_overlapping(lo);
-         it != tables_.end() && (hi.empty() || Str(it->first) < hi); ++it) {
-        Table& t = it->second;
-        if (!t.is_sink())
-            continue;
-        Str table_hi = t.prefix_upper();
-        if (!t.sink().join.maintained()) {
-            // Pull joins store nothing, so their results cannot be merged
-            // into the store scan below; support only confined scans.
-            bool confined = lo >= Str(t.prefix())
-                && (table_hi.empty() || (!hi.empty() && hi <= table_hi));
-            if (!confined)
-                throw std::logic_error(
-                    "scan spanning a pull join's sink table '" + t.prefix()
-                    + "' is unsupported");
-            pull_scan(t, lo, hi, f);
-            return;
-        }
-        Str mlo = lo < Str(t.prefix()) ? Str(t.prefix()) : lo;
-        Str mhi = min_bound(table_hi, hi);
-        freshen_table(t, mlo, mhi);
+    if (Table* t = freshen(lo, hi)) {
+        // Pull joins store nothing, so their results cannot be merged
+        // into the store scan below; support only confined scans.
+        Str table_hi = t->prefix_upper();
+        bool confined = lo >= Str(t->prefix())
+            && (table_hi.empty() || (!hi.empty() && hi <= table_hi));
+        if (!confined)
+            throw std::logic_error("scan spanning a pull join's sink table '"
+                                   + t->prefix() + "' is unsupported");
+        pull_scan(*t, lo, hi, f);
+        return;
     }
-    raw_scan(lo, hi, [&f](const std::string& key, const Entry& e) {
+    auto visit = [&f](const std::string& key, const Entry& e) {
         ValuePtr v = &e.value();
         f(key, v);
-    });
+    };
+    if (remote_)
+        scan_remote(lo, hi, visit);
+    else
+        raw_scan(lo, hi, visit);
 }
 
 // Merge the root table's entries with the routed tables' blocks back
@@ -359,21 +367,24 @@ void Server::raw_scan(Str lo, Str hi, const RawRef& f) {
     root_.store().scan(cursor, hi, f);
 }
 
-// Materialize any maintained sink overlapping [lo, hi) — the ranges a
-// join execution is about to consult, which may themselves be another
-// join's output. Pull sinks cannot appear here: reads of them are
-// rejected at add_join.
-void Server::freshen(Str lo, Str hi) {
+// Materialize any maintained sink overlapping [lo, hi) — a scanned
+// range, or one a join execution is about to consult, which may itself
+// be another join's output. Stops at, and returns, the first pull sink
+// in the range; execution never meets one, since reads of pull sinks
+// are rejected at add_join.
+Table* Server::freshen(Str lo, Str hi) {
     for (auto it = first_overlapping(lo);
          it != tables_.end() && (hi.empty() || Str(it->first) < hi); ++it) {
         Table& t = it->second;
-        if (!t.is_sink() || !t.sink().join.maintained())
+        if (!t.is_sink())
             continue;
-        Str table_hi = t.prefix_upper();
+        if (!t.sink().join.maintained())
+            return &t;
         Str mlo = lo < Str(t.prefix()) ? Str(t.prefix()) : lo;
-        Str mhi = min_bound(table_hi, hi);
+        Str mhi = min_bound(t.prefix_upper(), hi);
         freshen_table(t, mlo, mhi);
     }
+    return nullptr;
 }
 
 void Server::freshen_table(Table& sink_table, Str lo, Str hi) {
@@ -423,25 +434,26 @@ void Server::execute(Table& sink_table, int source_index, const SlotSet& ss,
                 static_cast<uint32_t>(updaters_.size() - 1));
         }
     }
+    auto visit = [&](const std::string& key, const Entry& e) {
+        ++stat_source_rows_;
+        SlotSet bound = ss;
+        if (!pat.match(key, bound))
+            return;
+        if (last) {
+            KeyBuf sink_key;
+            join.sink().expand(bound, sink_key);
+            emit(sink_key.view(), e);
+        } else {
+            execute(sink_table, source_index + 1, bound, install_updaters,
+                    emit);
+        }
+    };
     // Source ranges never span tables: add_join gives every source prefix
     // a covering table, so the containing range lives in one store.
-    table_for(range.lo)
-        .store()
-        .scan(range.lo, range.hi,
-              [&](const std::string& key, const Entry& e) {
-                  ++stat_source_rows_;
-                  SlotSet bound = ss;
-                  if (!pat.match(key, bound))
-                      return;
-                  if (last) {
-                      KeyBuf sink_key;
-                      join.sink().expand(bound, sink_key);
-                      emit(sink_key.view(), e);
-                  } else {
-                      execute(sink_table, source_index + 1, bound,
-                              install_updaters, emit);
-                  }
-              });
+    if (remote_)
+        scan_remote(range.lo, range.hi, visit);
+    else
+        table_for(range.lo).store().scan(range.lo, range.hi, visit);
 }
 
 // Serialized (source index, bindings): the identity under which an

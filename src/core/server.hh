@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if PEQUOD_VALIDATE
@@ -58,6 +59,22 @@ struct ServerConfig {
     bool enable_value_sharing = false;
 };
 
+// Where a server's rows live when they are not in its own stores. The
+// client-side Pequod of Fig 7 (DESIGN.md §9) runs this engine against a
+// join-less store across an RPC boundary: every source read and every
+// stored write — client puts and sink emissions alike — goes through
+// this seam, while routing, updater maps, valid ranges and the eager
+// maintenance loop stay in the Server. A write is pipelined; a scan
+// returns the rows of [lo, hi) in key order. get_ptr and scan_stored
+// read only local stores, so they see nothing on a remote server.
+class RemoteStore {
+  public:
+    using Rows = std::vector<std::pair<std::string, std::string>>;
+    virtual ~RemoteStore() = default;
+    virtual void rpc_put(Str key, Str value) = 0;
+    virtual Rows rpc_scan(Str lo, Str hi) = 0;
+};
+
 class Server {
   public:
     // Called with every source range the engine is about to consult
@@ -74,9 +91,17 @@ class Server {
     // (DESIGN.md §13). Str views are valid only during the call.
     using WriteObserver = std::function<void(Str key, Str value)>;
 
+    // With a `remote` store (not owned) the server's rows live there and
+    // its own stores stay empty. §4.3 sharing needs the source entry in
+    // a local store, so a remote server always copies.
     Server() : Server(ServerConfig()) {}
-    explicit Server(const ServerConfig& config)
-        : config_(config), root_("", config.store.enable_subtables) {}
+    explicit Server(const ServerConfig& config, RemoteStore* remote = nullptr)
+        : config_(config),
+          root_("", config.store.enable_subtables),
+          remote_(remote) {
+        if (remote_)
+            config_.enable_value_sharing = false;
+    }
 
     void set_subtable_components(const std::string& prefix, int components);
 
@@ -225,14 +250,18 @@ class Server {
     TableMap::iterator first_overlapping(Str lo);
     Table& make_table(const std::string& prefix);
     Table* route(Str key, WriteHint* hint);
-    PQ_NOALLOC Entry* write(Str key, Str value, WriteHint* hint);
+    PQ_NOALLOC void write(Str key, Str value, WriteHint* hint);
     // Store `src`'s value under `key` by reference (value sharing) or by
     // copy, per config_.enable_value_sharing.
-    Entry* write_emitted(Str key, const Entry& src, WriteHint* hint);
+    void write_emitted(Str key, const Entry& src, WriteHint* hint);
     void stab(Table& t, Str key, const Entry& stored, bool inserted);
+    // The remote-store side of write(), execute() and scan_impl(): rows
+    // arrive as strings, so the stab and the join see transient Entries.
+    PQ_COLDPATH void write_remote(Table& t, Str key, Str value);
+    PQ_COLDPATH void scan_remote(Str lo, Str hi, const RawRef& f);
     void scan_impl(Str lo, Str hi, const ScanRef& f);
     void raw_scan(Str lo, Str hi, const RawRef& f);
-    void freshen(Str lo, Str hi);
+    Table* freshen(Str lo, Str hi);
     void freshen_table(Table& sink_table, Str lo, Str hi);
     // Join execution: scans source ranges, installs updaters, emits
     // sink rows. Reached from a put only when a brand-new check-source
@@ -256,6 +285,7 @@ class Server {
     TableMap tables_;  // by prefix; prefixes never nest, so the directory
                        // is also the block order for merged scans
     std::vector<std::unique_ptr<Updater>> updaters_;
+    RemoteStore* remote_ = nullptr;  // null: rows live in the tables' stores
     SourceObserver observer_;
     WriteObserver write_observer_;
     uint64_t stat_eager_updates_ = 0;

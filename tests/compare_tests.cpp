@@ -145,6 +145,7 @@ TEST_P(BackendConformance, JoinOutputStaysFreshAfterWrites) {
     read_timeline("ann");
     ASSERT_EQ(out.size(), 3u);
     EXPECT_EQ(out[0].second, "edited");
+    b->verify();
 }
 
 TEST_P(BackendConformance, ChainedJoinStaysFreshThroughDerivedWrites) {
@@ -170,6 +171,7 @@ TEST_P(BackendConformance, ChainedJoinStaysFreshThroughDerivedWrites) {
     b->put("p|bob|" + pad_number(200, 10), "second");
     count_z();
     EXPECT_EQ(entries, 2u);
+    b->verify();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -217,6 +219,8 @@ TEST(ClientServerEquivalence, SmallTwipTrace) {
     // trace must fan out the same number of eager sink updates.
     EXPECT_GT(server->stats().server_updates, 0u);
     EXPECT_EQ(client->stats().server_updates, server->stats().server_updates);
+    server->verify();
+    client->verify();
 }
 
 // The modeled costs must order the systems the way Fig 7 does, at least
