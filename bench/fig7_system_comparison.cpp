@@ -65,11 +65,13 @@ int main(int argc, char** argv) {
                     results[i].total_seconds / baseline,
                     systems[i].paper_runtime, systems[i].paper_factor);
     }
-    std::printf("\ndetails (wall + modeled rpc, messages):\n");
+    std::printf("\ndetails (wall + modeled rpc, messages, round trips):\n");
     for (const auto& r : results)
-        std::printf("  %-16s wall=%.2fs rpc=%.2fs msgs=%llu bytes=%.1fMB\n",
-                    r.system.c_str(), r.wall_seconds, r.modeled_rpc_seconds,
-                    static_cast<unsigned long long>(r.rpc_messages),
-                    static_cast<double>(r.rpc_bytes) / 1e6);
+        std::printf(
+            "  %-16s wall=%.2fs rpc=%.2fs msgs=%llu bytes=%.1fMB rt=%llu\n",
+            r.system.c_str(), r.wall_seconds, r.modeled_rpc_seconds,
+            static_cast<unsigned long long>(r.rpc_messages),
+            static_cast<double>(r.rpc_bytes) / 1e6,
+            static_cast<unsigned long long>(r.rpc_round_trips));
     return 0;
 }

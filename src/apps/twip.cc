@@ -339,6 +339,7 @@ TwipResult run_twip(compare::TwipBackend& backend, const SocialGraph& graph,
     compare::BackendStats s = backend.stats();
     r.rpc_messages = s.messages;
     r.rpc_bytes = s.bytes;
+    r.rpc_round_trips = s.round_trips;
     r.memory_bytes = backend.memory_bytes();
     return r;
 }

@@ -53,6 +53,7 @@ struct TwipResult {
     double modeled_rpc_seconds = 0;
     uint64_t rpc_messages = 0;
     uint64_t rpc_bytes = 0;
+    uint64_t rpc_round_trips = 0;
     uint64_t memory_bytes = 0;
 };
 

@@ -73,14 +73,52 @@ if [ "${SKIP_FIGS:-0}" != "1" ]; then
     "$BENCH_DIR/fig_recovery" $RECOVERY_ARGS > "$RECOVERY_RAW"
 fi
 
+# The build tree holding the benchmark binaries (build/bench/.. by
+# default): its CMakeCache.txt names the project's build type.
+BUILD_TREE=$(cd "$BENCH_DIR/.." && pwd)
+GIT_SHA=$(git rev-parse HEAD 2>/dev/null || echo unknown)
+
 python3 - "$RAW" "$OUT" "$FIG7_RAW" "$FIG9_RAW" "$SHARING_RAW" \
-    "$FAULTS_RAW" "$SHARD_RAW" "$RECOVERY_RAW" <<'EOF'
+    "$FAULTS_RAW" "$SHARD_RAW" "$RECOVERY_RAW" "$BUILD_TREE" "$GIT_SHA" \
+    <<'EOF'
+import glob
 import json
+import os
 import re
 import sys
 
 (raw_path, out_path, fig7_path, fig9_path, sharing_path,
- faults_path, shard_path, recovery_path) = sys.argv[1:9]
+ faults_path, shard_path, recovery_path, build_tree, git_sha) = sys.argv[1:11]
+
+
+def cmake_var(path, name):
+    """The value of `name` in a CMakeCache.txt or set(...) file, or None."""
+    try:
+        text = open(path).read()
+    except OSError:
+        return None
+    m = re.search(r"^" + name + r":[A-Z]+=(.*)$", text, re.M) or re.search(
+        r"^set\(" + name + r' "([^"]*)"\)', text, re.M)
+    return m.group(1) if m else None
+
+
+# The project's own build context, the same fields perfbench/run.py
+# prints. Google Benchmark's library_build_type describes how the
+# benchmark *library* was built, not this project.
+compiler = "unknown"
+for path in glob.glob(os.path.join(build_tree, "CMakeFiles", "*",
+                                   "CMakeCXXCompiler.cmake")):
+    cid = cmake_var(path, "CMAKE_CXX_COMPILER_ID")
+    if cid:
+        compiler = "%s %s" % (
+            cid, cmake_var(path, "CMAKE_CXX_COMPILER_VERSION") or "")
+context = {
+    "build_type": cmake_var(os.path.join(build_tree, "CMakeCache.txt"),
+                            "CMAKE_BUILD_TYPE") or "unknown",
+    "compiler": compiler.strip(),
+    "git_sha": git_sha,
+    "nproc": os.cpu_count(),
+}
 with open(raw_path) as f:
     raw = json.load(f)
 
@@ -106,6 +144,17 @@ for line in open(fig7_path):
         }
 if fig7:
     figures["fig7_completion_factors"] = fig7
+
+# Fig 7 details: "client pequod  wall=... msgs=N bytes=...MB rt=N" —
+# the counted frames and round trips behind each modeled runtime.
+fig7_rpc = {}
+for line in open(fig7_path):
+    m = re.match(r"^\s+(\S.*?)\s+wall=.* msgs=(\d+) .* rt=(\d+)$", line)
+    if m:
+        fig7_rpc[m.group(1)] = {"messages": int(m.group(2)),
+                                "round_trips": int(m.group(3))}
+if fig7_rpc:
+    figures["fig7_rpc_counts"] = fig7_rpc
 
 # Fig 9: "80   1.255   1.283   separate" per vote rate; the crossover is
 # the first rate where separate RPCs win.
@@ -178,15 +227,9 @@ for line in open(recovery_path):
             "warm_restart_fresh": bool(int(m.group(5))),
         }
 
-out = {
-    "context": {
-        "host": raw.get("context", {}).get("host_name", "unknown"),
-        "num_cpus": raw.get("context", {}).get("num_cpus"),
-        "build_type": raw.get("context", {}).get("library_build_type"),
-        "date": raw.get("context", {}).get("date"),
-    },
-    "benchmarks": benchmarks,
-}
+context["host"] = raw.get("context", {}).get("host_name", "unknown")
+context["date"] = raw.get("context", {}).get("date")
+out = {"context": context, "benchmarks": benchmarks}
 if figures:
     out["figures"] = figures
 with open(out_path, "w") as f:
