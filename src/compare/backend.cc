@@ -192,7 +192,8 @@ class KvStoreEndpoint final : public net::Endpoint {
 
 // The modeled accounting of PequodBackend is replaced by real frames:
 // put and scan go straight to the engine, whose RemoteStore calls are
-// the only traffic, all of it counted by net_.
+// the only traffic, all of it counted by net_. RemoteStore is the first
+// base so `this` converts to it before PequodBackend builds the server.
 class ClientPequodBackend final : private RemoteStore,
                                   public PequodBackend,
                                   private net::Endpoint {
