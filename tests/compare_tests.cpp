@@ -8,6 +8,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +25,11 @@ struct BackendCase {
     const char* label;
     std::function<std::unique_ptr<compare::Backend>()> make;
 };
+
+// Without this, gtest prints the case as raw bytes — pointers that move
+// with every address-space layout — and ctest would name the discovered
+// tests differently on every build.
+void PrintTo(const BackendCase& c, std::ostream* os) { *os << c.label; }
 
 class BackendConformance
     : public ::testing::TestWithParam<BackendCase> {};
