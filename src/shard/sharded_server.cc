@@ -224,10 +224,10 @@ bool ShardedServer::step(int s) {
     if (!st.deferred.empty()) {
         f = std::move(st.deferred.front());
         st.deferred.pop_front();
-        apply_frame(s, std::move(f), false);
+        apply_frame(s, std::move(f));
         worked = true;
     } else if (st.mailbox.try_pop(f)) {
-        apply_frame(s, std::move(f), false);
+        apply_frame(s, std::move(f));
         worked = true;
     } else if (st.pending_notify_total != 0) {
         flush_all_pending(s);
@@ -243,14 +243,13 @@ bool ShardedServer::step(int s) {
     return worked;
 }
 
-void ShardedServer::apply_frame(int s, Frame&& frame, bool in_wait_loop) {
+void ShardedServer::apply_frame(int s, Frame&& frame) {
     ShardState& st = *shards_[static_cast<size_t>(s)];
     ++st.stats.frames;
     net::Message m;
     while (net::decode_message(frame.buf, m)) {
         ++st.stats.messages;
         apply_message(s, frame.from, std::move(m));
-        (void)in_wait_loop;
     }
     // Group commit at the frame boundary (§13): one flush covers every
     // put the frame carried, and it lands before the frame's staged
@@ -294,6 +293,21 @@ void ShardedServer::apply_message(int s, int from, net::Message&& m) {
 
 void ShardedServer::handle_client_put(int s, int client, net::Message&& m) {
     ShardState& st = *shards_[static_cast<size_t>(s)];
+    // Threaded and volatile: the notify leaves before the local eager
+    // fan-out, so subscribers on other shards start while this one is
+    // still updating its own timelines (§12). Safe because Server::write
+    // stores the key before it stabs an updater or can reach a nested
+    // subscribe wait, so a subscribe served mid-fan-out backfills it.
+    // Flushing every pending batch first keeps each peer's notifies in
+    // FIFO order. Inline mode keeps the staged order (its frames carry
+    // virtual-time stamps from release_staged), and durable mode must:
+    // no peer may see a post before its WAL batch flushes (§13).
+    bool ship_early = threaded_ && !st.persist;
+    if (ship_early) {
+        stage_notifies(s, m.key, m.value);
+        flush_all_pending(s);
+        ship_shard_frames(s, 0);
+    }
     st.server.put(m.key, m.value);
     // Sink-prefix keys are derived state: checkpoint_shard excludes
     // them, so the log must too — a logged-but-never-checkpointed key
@@ -306,7 +320,8 @@ void ShardedServer::handle_client_put(int s, int client, net::Message&& m) {
     ++st.stats.client_puts;
     if (config_.log_applied)
         st.applied_puts.emplace_back(m.key, m.value);
-    stage_notifies(s, m.key, m.value);
+    if (!ship_early)
+        stage_notifies(s, m.key, m.value);
     st.staged.completions.emplace_back(client, Completion{m.seq, 0});
 }
 
@@ -455,7 +470,7 @@ void ShardedServer::subscribe_to(int s, int owner, Str lo, Str hi) {
             st.deferred.push_back(std::move(in));
             continue;
         }
-        apply_frame(s, std::move(in), true);
+        apply_frame(s, std::move(in));
         release_now(s);  // a served subscribe's reply must ship now
     }
     st.completed_nonces.erase(sub.epoch);
@@ -512,7 +527,7 @@ void ShardedServer::stage_message(int s, int dest, const net::Message& m) {
 
 // ---- staged output ---------------------------------------------------------
 
-void ShardedServer::release_staged(int s, uint64_t vt) {
+void ShardedServer::ship_shard_frames(int s, uint64_t vt) {
     ShardState& st = *shards_[static_cast<size_t>(s)];
     for (size_t d = 0; d != st.staged.shard_frames.size(); ++d) {
         net::Buffer& b = st.staged.shard_frames[d];
@@ -525,6 +540,11 @@ void ShardedServer::release_staged(int s, uint64_t vt) {
         b = net::Buffer();
         shards_[d]->mailbox.push_force(std::move(f));
     }
+}
+
+void ShardedServer::release_staged(int s, uint64_t vt) {
+    ShardState& st = *shards_[static_cast<size_t>(s)];
+    ship_shard_frames(s, vt);
     for (auto& reply : st.staged.client_replies) {
         Frame f;
         f.from = s;

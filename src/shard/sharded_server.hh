@@ -14,7 +14,10 @@
 // the range and, on later client puts into it, appends the update to a
 // per-destination pending notify batch. Batches coalesce across frames —
 // they flush only at a size limit or when B's mailbox runs dry — so a
-// burst of writes wakes each subscriber once, not once per write.
+// burst of writes wakes each subscriber once, not once per write. The
+// exception is a threaded shard without a WAL: there each put ships its
+// notify before running its own local fan-out, trading that coalescing
+// for freshness.
 // Subscribed ranges must be base (client-written) ranges; a join whose
 // source is another join's remote sink is rejected by this tier.
 //
@@ -310,11 +313,8 @@ class ShardedServer {
     void install_joins(Server& server);
     MpscQueue<Frame>& shard_mailbox(int s);
     PQ_WORKER_CONTEXT void worker_loop(int s);
-    // Apply one mailbox frame's batch. `in_wait_loop` marks re-entrant
-    // servicing from inside a blocked subscribe (worker mode): protocol
-    // frames are applied, client frames deferred.
-    PQ_WORKER_CONTEXT void apply_frame(int s, Frame&& frame,
-                                       bool in_wait_loop);
+    // Apply one mailbox frame's batch, then group-commit its WAL records.
+    PQ_WORKER_CONTEXT void apply_frame(int s, Frame&& frame);
     PQ_WORKER_CONTEXT void apply_message(int s, int from, net::Message&& m);
     PQ_WORKER_CONTEXT void handle_client_put(int s, int client,
                                              net::Message&& m);
@@ -332,6 +332,10 @@ class ShardedServer {
     PQ_WORKER_CONTEXT void flush_all_pending(int s);
     PQ_WORKER_CONTEXT void stage_message(int s, int dest,
                                          const net::Message& m);
+    // Push staged peer-bound frames, stamped `vt`, to their mailboxes.
+    // Leaves completions and client replies staged, so it is no
+    // PQ_RELEASES_ACK: a threaded volatile put calls it mid-frame.
+    PQ_WORKER_CONTEXT void ship_shard_frames(int s, uint64_t vt);
     // Ship staged output immediately (worker mode shorthand).
     PQ_WORKER_CONTEXT PQ_RELEASES_ACK void release_now(int s);
 

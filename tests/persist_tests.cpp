@@ -20,11 +20,8 @@
 // build tree), never /tmp.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <utility>
@@ -41,6 +38,7 @@
 #include "persist/persist.hh"
 #include "persist/wal.hh"
 #include "shard/sharded_server.hh"
+#include "temp_dir.hh"
 
 namespace pequod {
 namespace persist {
@@ -48,30 +46,6 @@ namespace {
 
 using Oracle = std::map<std::string, std::string>;
 using Items = std::vector<std::pair<std::string, std::string>>;
-
-// A self-cleaning scratch directory in the build tree.
-class TempDir {
-  public:
-    TempDir() {
-        char tmpl[] = "persist_test_XXXXXX";
-        char* made = ::mkdtemp(tmpl);
-        EXPECT_NE(made, nullptr);
-        path_ = made ? made : "persist_test_fallback";
-    }
-    ~TempDir() {
-        std::error_code ec;
-        std::filesystem::remove_all(path_, ec);
-    }
-    const std::string& path() const {
-        return path_;
-    }
-    std::string sub(const char* name) const {
-        return path_ + "/" + name;
-    }
-
-  private:
-    std::string path_;
-};
 
 Items replay_all(const std::string& dir, ReplayResult* rr = nullptr) {
     Items out;

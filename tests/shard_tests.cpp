@@ -1,8 +1,10 @@
-// Shard-tier tests (DESIGN.md §12), all in inline mode — one thread
-// drives every shard through the step()/release_staged() API, so these
-// check protocol correctness (routing, framing, subscribe/backfill/
-// notify, broadcast filtering) deterministically; the threaded worker
-// path is thread_stress_tests' job.
+// Shard-tier tests (DESIGN.md §12), almost all in inline mode — one
+// thread drives every shard through the step()/release_staged() API, so
+// these check protocol correctness (routing, framing, subscribe/
+// backfill/notify, broadcast filtering) deterministically; the threaded
+// worker path under load is thread_stress_tests' job. The exceptions
+// are the two gated fan-out tests at the end, which park one worker
+// mid-put to pin when a peer may first see the post.
 //
 // The load-bearing test is SingleShardMatchesServerByteForByte: a
 // one-shard ShardedServer must be indistinguishable from a plain Server
@@ -12,8 +14,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <map>
+#include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -24,6 +30,7 @@
 #include "net/message.hh"
 #include "shard/routing.hh"
 #include "shard/sharded_server.hh"
+#include "temp_dir.hh"
 
 namespace pequod {
 namespace shard {
@@ -442,6 +449,170 @@ TEST(ShardedServer, AppliedPutLogFollowsApplicationOrder) {
         total += pos;
     }
     EXPECT_EQ(total, keys.size());
+}
+
+
+// A threaded two-shard deployment with the poster's posts on shard A
+// and the follower's timeline on shard B. A write observer on A's
+// Server parks A's worker inside Server::put of one post key — after
+// the write and its local fan-out, before put returns — until the test
+// opens the gate, or for at most kGateCap.
+class GatedFanOut {
+  public:
+    static constexpr int kA = 0;
+    static constexpr int kB = 1;
+    static constexpr std::chrono::seconds kGateCap{5};
+
+    explicit GatedFanOut(const std::string& persist_dir) {
+        auto user = [](int u) {
+            return "u" + pad_number(static_cast<uint64_t>(u), 3);
+        };
+        std::string poster, follower;
+        for (int u = 0; poster.empty() || follower.empty(); ++u) {
+            if (poster.empty() && shard_of("p|" + user(u) + "|", 2) == kA)
+                poster = user(u);
+            else if (follower.empty()
+                     && shard_of("t|" + user(u) + "|", 2) == kB)
+                follower = user(u);
+        }
+        timeline_lo_ = "t|" + follower + "|";
+        post_key_ = "p|" + poster + "|" + pad_number(2, 10);
+        post_row_ = timeline_lo_ + pad_number(2, 10) + "|" + poster;
+
+        ShardConfig cfg;
+        cfg.shards = 2;
+        cfg.joins = kTimelineJoin;
+        cfg.persist.dir = persist_dir;
+        ss_ = std::make_unique<ShardedServer>(cfg);
+        client_ = &ss_->make_client();
+        ss_->load("s|" + follower + "|" + poster, "1");
+        ss_->load("p|" + poster + "|" + pad_number(1, 10), "seed");
+        ss_->server(kA).set_write_observer([this](Str key, Str) {
+            if (key == Str(post_key_))
+                park();
+        });
+        ss_->start();
+    }
+    ~GatedFanOut() {
+        open_gate();
+        ss_->stop();
+    }
+    GatedFanOut(const GatedFanOut&) = delete;
+    GatedFanOut& operator=(const GatedFanOut&) = delete;
+
+    // Materialize the follower's timeline, so B replicates the poster's
+    // posts before the gated post is written.
+    size_t materialize() {
+        return scan_timeline().size();
+    }
+    void post() {
+        client_->submit_put(post_key_, "gated post");
+        client_->flush();
+    }
+    bool wait_parked() {
+        return wait_for([this] {
+            return parked_.load(std::memory_order_acquire);
+        });
+    }
+    void open_gate() {
+        gate_.store(true, std::memory_order_release);
+    }
+    bool capped() const {
+        return capped_.load(std::memory_order_acquire);
+    }
+    // One check of the follower's timeline, served by shard B.
+    bool timeline_has_post() {
+        for (const auto& kv : scan_timeline())
+            if (kv.first == post_row_)
+                return true;
+        return false;
+    }
+    bool wait_post_visible() {
+        return wait_for([this] { return timeline_has_post(); });
+    }
+    bool wait_completion() {
+        Completion done;
+        return wait_for([&] { return client_->poll_completion(done); });
+    }
+
+  private:
+    template <typename Pred>
+    static bool wait_for(Pred pred) {
+        auto deadline = std::chrono::steady_clock::now() + kGateCap;
+        while (!pred()) {
+            if (std::chrono::steady_clock::now() > deadline)
+                return false;
+            std::this_thread::yield();
+        }
+        return true;
+    }
+
+    // Runs on A's worker thread.
+    void park() {
+        parked_.store(true, std::memory_order_release);
+        if (!wait_for([this] { return gate_.load(std::memory_order_acquire); }))
+            capped_.store(true, std::memory_order_release);
+    }
+
+    Items scan_timeline() {
+        client_->submit_scan(timeline_lo_, prefix_successor(timeline_lo_));
+        client_->flush();
+        Frame f;
+        if (!wait_for([&] { return client_->poll_reply(f); })) {
+            ADD_FAILURE() << "no reply from shard " << kB;
+            return {};
+        }
+        Items items;
+        net::Message m;
+        while (net::decode_message(f.buf, m))
+            for (auto& kv : m.items)
+                items.push_back(std::move(kv));
+        return items;
+    }
+
+    std::string timeline_lo_, post_key_, post_row_;
+    // Declared before the server: A's worker reads them until joined.
+    std::atomic<bool> gate_{false}, parked_{false}, capped_{false};
+    std::unique_ptr<ShardedServer> ss_;
+    ShardClient* client_ = nullptr;
+};
+
+// Without a WAL, a threaded owner ships a post's notify before its
+// local fan-out (§12), so a follower on another shard sees the post
+// while the owner is still inside Server::put.
+TEST(ShardedServer, PeerSeesPostDuringOwnerFanOut) {
+    GatedFanOut g("");
+    EXPECT_EQ(g.materialize(), 1u);
+    g.post();
+    ASSERT_TRUE(g.wait_parked()) << "the owner never applied the post";
+    bool seen = false;
+    while (!seen && !g.capped())
+        seen = g.timeline_has_post();
+    g.open_gate();
+    EXPECT_TRUE(seen) << "the follower's shard saw the post only after "
+                         "the owner's put returned";
+    EXPECT_FALSE(g.capped());
+    EXPECT_TRUE(g.wait_completion());
+}
+
+// With a WAL the staged order stays (§13): no follower sees a post
+// before the owner's frame, and so its WAL batch, is flushed.
+TEST(ShardedServer, DurablePostHiddenUntilOwnerFrameFlushes) {
+    TempDir td;
+    GatedFanOut g(td.sub("shards"));
+    EXPECT_EQ(g.materialize(), 1u);
+    g.post();
+    ASSERT_TRUE(g.wait_parked()) << "the owner never applied the post";
+    auto until = std::chrono::steady_clock::now()
+        + std::chrono::milliseconds(50);
+    bool seen_early = false;
+    while (!seen_early && std::chrono::steady_clock::now() < until)
+        seen_early = g.timeline_has_post();
+    g.open_gate();
+    EXPECT_FALSE(seen_early) << "a follower saw a post before its WAL flush";
+    EXPECT_TRUE(g.wait_completion());
+    EXPECT_TRUE(g.wait_post_visible());
+    EXPECT_FALSE(g.capped());
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 //     oracle Server and demands identical per-user timelines, proving
 //     the mailboxes neither drop, duplicate, nor tear operations and
 //     that cross-shard fan-out converges to the one-server semantics.
+//     It runs once without and once with a WAL, the two notify orders.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -33,6 +34,7 @@
 #include "common/mpsc_queue.hh"
 #include "core/server.hh"
 #include "shard/sharded_server.hh"
+#include "temp_dir.hh"
 
 namespace pequod {
 namespace {
@@ -184,7 +186,10 @@ TEST(ThreadStress, ReadersVsWriterOverMaterializedServer) {
     server.verify();
 }
 
-TEST(ThreadStress, ShardedServersMatchSequentialReplay) {
+// Both notify orders (§12): without a WAL each put ships its notify
+// before its local fan-out; with one, notifies wait for the frame's WAL
+// flush. `persist_dir` empty selects the first.
+void sharded_servers_match_sequential_replay(const std::string& persist_dir) {
     constexpr int kShards = 3;
     constexpr int kProducers = 3;
     constexpr int kOpsPerProducer = 250;
@@ -200,6 +205,7 @@ TEST(ThreadStress, ShardedServersMatchSequentialReplay) {
     cfg.mailbox_capacity = 8;
     cfg.notify_batch_items = 4;
     cfg.log_applied = true;
+    cfg.persist.dir = persist_dir;
     shard::ShardedServer ss(cfg);
 
     std::vector<shard::ShardClient*> clients;
@@ -323,6 +329,15 @@ TEST(ThreadStress, ShardedServersMatchSequentialReplay) {
     for (int s = 0; s != kShards; ++s)
         ss.server(s).verify();
     oracle.verify();
+}
+
+TEST(ThreadStress, ShardedServersMatchSequentialReplay) {
+    sharded_servers_match_sequential_replay("");
+}
+
+TEST(ThreadStress, DurableShardedServersMatchSequentialReplay) {
+    TempDir td;
+    sharded_servers_match_sequential_replay(td.sub("shards"));
 }
 
 }  // namespace
