@@ -5,23 +5,10 @@
 
 #include "common/clock.hh"
 #include "join/join.hh"
+#include "shard/routing.hh"
 
 namespace pequod {
 namespace distrib {
-
-namespace {
-
-// The '|'-terminated table group of `key` under `prefix` — the sharding
-// unit, chosen so a group's range subscription and its later puts agree
-// on a home server. A non-owning slice of `key`.
-Str table_group(Str key, Str prefix) {
-    size_t bar = key.find('|', prefix.size());
-    if (bar == Str::npos)
-        return key;
-    return key.prefix(bar + 1);
-}
-
-}  // namespace
 
 // ---- CpuMeter ---------------------------------------------------------------
 
@@ -79,7 +66,15 @@ size_t Node::post(int to, const net::Message& m) {
 
 // ---- BaseServer -------------------------------------------------------------
 
-BaseServer::BaseServer(Cluster& cluster) : Node(cluster) {
+BaseServer::BaseServer(Cluster& cluster)
+    : Node(cluster), pub_(1, [this](int dest, const net::Message& m) {
+          // Notifies queue until settle(); a backfill or pong is the
+          // synchronous reply to its subscribe or ping.
+          if (m.type == net::MsgType::kNotify)
+              post(dest, m);
+          else
+              send(dest, m);
+      }) {
     init_engine();
     if (cluster_.config().persist.enabled()) {
         open_persistence();
@@ -109,7 +104,7 @@ void BaseServer::recover_from_disk() {
             engine_->put(key, value);
         },
         [](Str, Str) {});
-    gen_ = last_recovery_.generation;
+    pub_.reset(last_recovery_.generation);
     persist::Persistence* p = persist_.get();
     engine_->set_write_observer([p](Str key, Str value) {
         p->log_put(key, value);
@@ -121,11 +116,6 @@ void BaseServer::restart() {
     // generation bump is what lets subscribers find out: the next frame
     // they see from us (or the next heartbeat pong) carries a gen they
     // have never met, and they invalidate and re-subscribe.
-    subscriptions_.clear();
-    registered_.clear();
-    stab_scratch_.clear();
-    live_seq_.clear();
-    sub_epochs_.clear();
     if (persist_) {
         // Real recovery: a fresh engine rebuilt from checkpoint + WAL.
         // Acked puts survive (they were flushed before their ack);
@@ -138,7 +128,7 @@ void BaseServer::restart() {
     } else {
         // In-memory simulation: the tables "survive" because nothing
         // actually died.
-        ++gen_;
+        pub_.reset(pub_.generation() + 1);
     }
 }
 
@@ -159,23 +149,23 @@ bool BaseServer::checkpoint_now() {
     });
 }
 
-uint64_t& BaseServer::live_seq(int compute_id) {
-    uint64_t& seq = live_seq_[compute_id];
-    if (seq == 0)
-        seq = 1;
-    return seq;
-}
-
 void BaseServer::handle(int from, net::Message&& m) {
     switch (m.type) {
     case net::MsgType::kPut:
         handle_put(m.key, m.value);
         break;
     case net::MsgType::kSubscribe:
-        handle_subscribe(from, m.key, m.value, m.epoch);
+        // Backfill synchronously: the subscriber's join execution is
+        // blocked on this range's current contents.
+        pub_.subscribe(from, m.key, m.value, m.epoch, [&](sub::Items& items) {
+            engine_->scan(m.key, m.value,
+                          [&items](const std::string& k, const ValuePtr& v) {
+                              items.emplace_back(k, *v);
+                          });
+        });
         break;
     case net::MsgType::kPing:
-        handle_ping(from);
+        pub_.pong(from);
         break;
     default:
         throw std::logic_error("base server: unexpected message type");
@@ -191,87 +181,24 @@ void BaseServer::handle_put(const std::string& key,
     // frame carried.
     if (persist_)
         persist_->flush();
-    if (subscriptions_.empty())
-        return;
-    // One notification per subscribed compute server, even when several
-    // of its ranges contain the key.
-    stab_scratch_.clear();
-    subscriptions_.stab(key, [this](const int& compute_id) {
-        stab_scratch_.push_back(compute_id);
-    });
-    std::sort(stab_scratch_.begin(), stab_scratch_.end());
-    stab_scratch_.erase(
-        std::unique(stab_scratch_.begin(), stab_scratch_.end()),
-        stab_scratch_.end());
-    net::Message notify;
-    notify.type = net::MsgType::kNotify;
-    notify.gen = gen_;
-    notify.items.emplace_back(key, value);
-    for (int compute_id : stab_scratch_) {
-        // Stamp per link: the epoch the subscriber registered under and
-        // a consumed live sequence number, so the receiver can spot
-        // anything that goes missing in between.
-        notify.epoch = sub_epochs_[compute_id];
-        notify.seq = live_seq(compute_id)++;
-        post(compute_id, notify);
-    }
-}
-
-void BaseServer::handle_subscribe(int from, const std::string& lo,
-                                  const std::string& hi, uint64_t epoch) {
-    uint64_t& seen = sub_epochs_[from];
-    if (epoch > seen)
-        seen = epoch;
-    std::string dedup = std::to_string(from) + '\1' + lo + '\1' + hi;
-    if (registered_.insert(std::move(dedup)).second)
-        subscriptions_.insert(lo, hi, from);
-    // Backfill the subscriber synchronously: its join execution is
-    // blocked on this range's current contents. The frame carries the
-    // *next* live sequence as a resynchronization baseline without
-    // consuming one, so a backfill overtaking queued notifies cannot
-    // fabricate a gap.
-    net::Message reply;
-    reply.type = net::MsgType::kBackfill;
-    reply.gen = gen_;
-    reply.epoch = seen;
-    reply.seq = live_seq(from);
-    engine_->scan(lo, hi, [&reply](const std::string& k, const ValuePtr& v) {
-        reply.items.emplace_back(k, *v);
-    });
-    send(from, reply);
-}
-
-void BaseServer::handle_ping(int from) {
-    net::Message pong;
-    pong.type = net::MsgType::kPong;
-    pong.gen = gen_;
-    pong.seq = live_seq(from);
-    send(from, pong);
+    pub_.publish(key, value);
 }
 
 // ---- ComputeServer ----------------------------------------------------------
 
-ComputeServer::ComputeServer(Cluster& cluster) : Node(cluster) {
+ComputeServer::ComputeServer(Cluster& cluster)
+    : Node(cluster), sub_(cluster.config().base_servers, -1) {
     init_engine();
 }
 
 void ComputeServer::init_engine() {
     engine_ = std::make_unique<Server>();
     std::vector<std::string> sinks;
-    const std::string& specs = cluster_.config().joins;
-    size_t pos = 0;
-    while (pos < specs.size()) {
-        size_t semi = specs.find(';', pos);
-        if (semi == std::string::npos)
-            semi = specs.size();
-        std::string spec = specs.substr(pos, semi - pos);
-        if (spec.find_first_not_of(" \t\n") != std::string::npos) {
-            engine_->add_join(spec);
-            Join parsed;
-            parsed.parse(spec);
-            sinks.push_back(parsed.sink().table_prefix());
-        }
-        pos = semi + 1;
+    for (const std::string& spec : split_join_specs(cluster_.config().joins)) {
+        engine_->add_join(spec);
+        Join parsed;
+        parsed.parse(spec);
+        sinks.push_back(parsed.sink().table_prefix());
     }
     // Group both the cached source shards and the sink tables by their
     // first component (the per-user / per-poster trees of §4.1).
@@ -289,10 +216,8 @@ void ComputeServer::restart() {
     // Timelines re-materialize on demand, and the epoch bump makes every
     // in-flight frame stamped before the crash identifiably stale.
     ++fstats_.restarts;
-    ++epoch_;
     init_engine();
-    subscribed_ = RangeSet();
-    links_.clear();
+    sub_.restart();
     pending_.clear();
     backfill_ok_ = false;
 }
@@ -310,114 +235,60 @@ void ComputeServer::handle(int from, net::Message&& m) {
         break;
     }
     case net::MsgType::kNotify:
-        handle_notify(from, std::move(m));
-        break;
     case net::MsgType::kBackfill:
-        handle_backfill(from, std::move(m));
-        break;
     case net::MsgType::kPong:
-        handle_pong(from, m);
+        handle_feed(from, m);
         break;
     default:
         throw std::logic_error("compute server: unexpected message type");
     }
 }
 
-void ComputeServer::apply_items(const net::Message& m) {
-    // Updates for subscribed ranges (backfill or live); the engine's
-    // eager maintenance folds them into every materialized timeline.
-    stats_.busy_seconds += cluster_.config().cpu_per_update
-        * static_cast<double>(m.items.size());
-    for (const auto& kv : m.items)
-        engine_->put(kv.first, kv.second);
-}
-
-void ComputeServer::handle_notify(int from, net::Message&& m) {
-    auto it = links_.find(from);
-    if (it == links_.end() || it->second.ranges.empty()) {
+void ComputeServer::handle_feed(int from, const net::Message& m) {
+    if (m.type != net::MsgType::kBackfill && !sub_.live(from)) {
         // A stale subscription at the base — e.g. we restarted blank and
         // its subscriber list still names us. Nothing we advertise
         // depends on this link, so the frame is noise.
-        ++fstats_.stray_drops;
+        if (m.type == net::MsgType::kNotify)
+            ++fstats_.stray_drops;
         return;
     }
-    BaseLink& link = it->second;
-    if (m.gen != link.gen) {
-        // The base restarted since we subscribed: it has forgotten our
-        // ranges, so updates between its restart and now never reached
-        // us.
-        ++fstats_.base_restarts_detected;
-        invalidate_base(from);
-        return;
-    }
-    // No epoch check on live notifies: (gen, seq) is authoritative.
-    // After an invalidation the link adopts a fresh baseline at or above
-    // every previously issued seq, so frames from before the bump fall
-    // out as duplicates. Dropping an in-sequence frame for carrying an
-    // old epoch stamp would burn its seq and fake a gap on the next one.
-    if (m.seq < link.next_seq) {
-        // At-least-once delivery: duplicates and already-backfilled
-        // frames land here; applying them anyway would also be correct
-        // (puts are idempotent) but dropping keeps the counters honest.
+    switch (sub_.check(from, m)) {
+    case sub::Verdict::kApply:
+        if (m.type == net::MsgType::kPong)
+            break;
+        // Updates for subscribed ranges (backfill or live); the engine's
+        // eager maintenance folds them into every materialized timeline.
+        stats_.busy_seconds += cluster_.config().cpu_per_update
+            * static_cast<double>(m.items.size());
+        for (const auto& kv : m.items)
+            engine_->put(kv.first, kv.second);
+        if (m.type == net::MsgType::kBackfill)
+            backfill_ok_ = true;
+        break;
+    case sub::Verdict::kDuplicate:
+        // At-least-once delivery: applying it again would be correct too
+        // (puts are idempotent), but dropping keeps the counters honest.
         ++fstats_.duplicate_drops;
-        return;
-    }
-    if (m.seq != link.next_seq) {
-        // Frames between next_seq and m.seq were lost; every range on
-        // this link may have missed updates.
-        ++fstats_.gaps_detected;
-        invalidate_base(from);
-        return;
-    }
-    ++link.next_seq;
-    apply_items(m);
-}
-
-void ComputeServer::handle_backfill(int from, net::Message&& m) {
-    if (m.epoch < epoch_) {
+        break;
+    case sub::Verdict::kStaleEpoch:
         // The reply to a subscribe from a superseded epoch (its range
         // has since been invalidated); the retry path owns it now.
         ++fstats_.stale_epoch_drops;
-        return;
-    }
-    BaseLink& link = links_[from];
-    if (link.gen != 0 && m.gen != link.gen) {
-        // The base restarted under our feet; everything we hold from it
-        // predates the restart. Start the link over — invalidate_base
-        // re-subscribes, and those nested backfills adopt the new
-        // generation.
-        ++fstats_.base_restarts_detected;
-        invalidate_base(from);
-        return;
-    }
-    if (link.gen == 0) {
-        // Fresh (or just-reset) link: adopt the base's generation and
-        // the next-live-sequence baseline. An established link keeps its
-        // own expectation — a re-subscribe's backfill may overtake live
-        // notifies already queued behind it.
-        link.gen = m.gen;
-        link.next_seq = m.seq;
-    }
-    apply_items(m);
-    backfill_ok_ = true;
-}
-
-void ComputeServer::handle_pong(int from, const net::Message& m) {
-    auto it = links_.find(from);
-    if (it == links_.end() || it->second.ranges.empty())
-        return;
-    BaseLink& link = it->second;
-    if (m.gen != link.gen) {
-        ++fstats_.base_restarts_detected;
-        invalidate_base(from);
-        return;
-    }
-    if (m.seq > link.next_seq) {
-        // The base has issued notifies we never saw and has nothing more
-        // coming to expose the gap — the heartbeat is what catches a
-        // lost *tail*.
+        break;
+    case sub::Verdict::kGap:
+        // Notifies died in transit (a pong exposes a lost tail): every
+        // range on this link may have missed updates.
         ++fstats_.gaps_detected;
         invalidate_base(from);
+        break;
+    case sub::Verdict::kRestart:
+        // The base restarted since we subscribed and has forgotten our
+        // ranges; invalidate_base re-subscribes, and those backfills
+        // adopt the new generation.
+        ++fstats_.base_restarts_detected;
+        invalidate_base(from);
+        break;
     }
 }
 
@@ -427,7 +298,7 @@ void ComputeServer::handle_pong(int from, const net::Message& m) {
 void ComputeServer::will_scan_source(Str lo, Str hi) {
     if (!cluster_.is_base_range(lo))
         return;  // a local table (e.g. a chained join's sink)
-    if (subscribed_.covers(lo, hi))
+    if (sub_.covers(lo, hi))
         return;
     if (overlaps_pending(lo, hi))
         return;  // a failed subscription's backoff owns this range
@@ -444,43 +315,24 @@ bool ComputeServer::overlaps_pending(Str lo, Str hi) const {
 
 void ComputeServer::subscribe_range(const std::string& lo,
                                     const std::string& hi) {
-    // A range confined to one table group has one home base server; a
-    // broader range (e.g. an unbound source scanning its whole table) is
-    // sharded across every base, so subscribe at all of them. The range
-    // only counts as covered once every leg succeeded; failed legs
-    // retry under backoff, and until they all land the range stays
-    // uncovered so a later scan knows it is incomplete.
-    int home = cluster_.home_base_for_range(lo, hi);
-    bool all_ok;
-    if (home >= 0) {
-        all_ok = start_subscription(home, lo, hi);
-    } else {
-        all_ok = true;
-        for (int b = 0; b < cluster_.config().base_servers; ++b)
-            all_ok = start_subscription(b, lo, hi) && all_ok;
-    }
-    if (all_ok)
-        subscribed_.add(lo, hi);
-}
-
-bool ComputeServer::start_subscription(int base, const std::string& lo,
-                                       const std::string& hi) {
-    if (subscribe_at(base, lo, hi)) {
-        note_subscribed(base, lo, hi);
-        return true;
-    }
-    schedule_retry(base, lo, hi, 1);
-    return false;
+    // Failed legs retry under backoff, and until they all land the
+    // range stays uncovered so a later scan knows it is incomplete.
+    sub_.fan_out(lo, hi, [&](int base) {
+        if (subscribe_at(base, lo, hi))
+            return true;
+        schedule_retry(base, lo, hi, 1);
+        return false;
+    });
 }
 
 bool ComputeServer::subscribe_at(int base, const std::string& lo,
                                  const std::string& hi) {
-    uint64_t sent_epoch = epoch_;
+    uint64_t sent_epoch = sub_.epoch();
     net::Message m;
     m.type = net::MsgType::kSubscribe;
     m.key = lo;
     m.value = hi;
-    m.epoch = epoch_;
+    m.epoch = sent_epoch;
     // The backfill arrives synchronously (as kBackfill) before send()
     // returns, re-entering the engine with the range's current contents.
     // Success requires both that it actually arrived (a lost frame in
@@ -488,16 +340,10 @@ bool ComputeServer::subscribe_at(int base, const std::string& lo,
     // and that nothing invalidated this epoch mid-call.
     backfill_ok_ = false;
     send(base, m);
-    return backfill_ok_ && epoch_ == sent_epoch;
-}
-
-void ComputeServer::note_subscribed(int base, const std::string& lo,
-                                    const std::string& hi) {
-    auto& ranges = links_[base].ranges;
-    for (const auto& r : ranges)
-        if (r.first == lo && r.second == hi)
-            return;
-    ranges.emplace_back(lo, hi);
+    if (!backfill_ok_ || sub_.epoch() != sent_epoch)
+        return false;
+    sub_.hold(base, lo, hi);
+    return true;
 }
 
 void ComputeServer::schedule_retry(int base, const std::string& lo,
@@ -510,7 +356,7 @@ void ComputeServer::schedule_retry(int base, const std::string& lo,
         // cycle with a fresh budget.
         ++fstats_.abandoned;
         engine_->invalidate_range(lo, hi);
-        subscribed_.subtract(lo, hi);
+        sub_.uncover(lo, hi);
         return;
     }
     uint64_t backoff = cfg.backoff_base_ticks
@@ -526,28 +372,20 @@ void ComputeServer::mark_covered_if_complete(const std::string& lo,
     for (const PendingSub& p : pending_)
         if (p.lo == lo && p.hi == hi)
             return;
-    subscribed_.add(lo, hi);
+    sub_.cover(lo, hi);
 }
 
 void ComputeServer::invalidate_base(int base) {
-    auto it = links_.find(base);
-    if (it == links_.end())
-        return;
-    BaseLink& link = it->second;
     // New epoch: frames stamped before this moment are stale, and a
     // subscribe already on the wire will refuse its own reply.
-    ++epoch_;
-    link.gen = 0;
-    link.next_seq = 0;
-    std::vector<std::pair<std::string, std::string>> ranges;
-    ranges.swap(link.ranges);
+    std::vector<sub::Range> ranges = sub_.drop(base);
     // Tear down first, then re-subscribe: the engine must not serve the
     // suspect data while the re-subscriptions (which re-enter it with
     // backfilled puts) are in flight.
     for (const auto& r : ranges) {
         ++fstats_.invalidated_ranges;
         engine_->invalidate_range(r.first, r.second);
-        subscribed_.subtract(r.first, r.second);
+        sub_.uncover(r.first, r.second);
     }
     for (const auto& r : ranges) {
         ++fstats_.resubscribes;
@@ -561,13 +399,13 @@ void ComputeServer::tick(uint64_t now) {
     // Heartbeat every base we depend on: a pong with a changed
     // generation or a higher next-sequence than ours means we missed
     // something that nothing else would ever tell us about.
-    for (auto& entry : links_) {
-        if (entry.second.ranges.empty())
+    for (int b = 0; b != cluster_.config().base_servers; ++b) {
+        if (!sub_.live(b))
             continue;
         net::Message ping;
         ping.type = net::MsgType::kPing;
-        ping.epoch = epoch_;
-        send(entry.first, ping);  // pong (if any) handled synchronously
+        ping.epoch = sub_.epoch();
+        send(b, ping);  // pong (if any) handled synchronously
     }
     // Retry pending subscriptions whose backoff expired, one at a time:
     // a retry can itself reshape pending_ (nested invalidation), and
@@ -581,15 +419,13 @@ void ComputeServer::tick(uint64_t now) {
             PendingSub p = std::move(*it);
             pending_.erase(it);
             progressed = true;
-            if (subscribed_.covers(p.lo, p.hi))
+            if (sub_.covers(p.lo, p.hi))
                 break;  // covered meanwhile by a broader subscription
             ++fstats_.retries;
-            if (subscribe_at(p.base, p.lo, p.hi)) {
-                note_subscribed(p.base, p.lo, p.hi);
+            if (subscribe_at(p.base, p.lo, p.hi))
                 mark_covered_if_complete(p.lo, p.hi);
-            } else {
+            else
                 schedule_retry(p.base, p.lo, p.hi, p.attempts + 1);
-            }
             break;
         }
     }
@@ -710,30 +546,9 @@ int Cluster::compute_index_for(const std::string& affinity) const {
 }
 
 int Cluster::home_base(const std::string& key) const {
-    for (const std::string& prefix : config_.base_tables)
-        if (starts_with(key, prefix))
-            return static_cast<int>(
-                table_group(key, prefix).hash()
-                % static_cast<uint64_t>(config_.base_servers));
-    throw std::invalid_argument("no base table owns key '" + key + "'");
-}
-
-int Cluster::home_base_for_range(Str lo, Str hi) const {
-    for (const std::string& prefix : config_.base_tables) {
-        if (!starts_with(lo, prefix))
-            continue;
-        Str group = table_group(lo, prefix);
-        // One home server only when [lo, hi) stays inside lo's group —
-        // and lo actually names a group beyond the bare table prefix.
-        if (group.size() > prefix.size() && !hi.empty()
-            && hi <= Str(prefix_successor(group)))
-            return static_cast<int>(
-                group.hash()
-                % static_cast<uint64_t>(config_.base_servers));
-        return -1;
-    }
-    throw std::invalid_argument("no base table owns range from '"
-                                + lo.str() + "'");
+    if (!is_base_range(key))
+        throw std::invalid_argument("no base table owns key '" + key + "'");
+    return shard::shard_of(key, config_.base_servers);
 }
 
 bool Cluster::is_base_range(Str lo) const {

@@ -11,6 +11,8 @@
 // per-message/per-byte cost, and inter-server traffic is accounted
 // separately from client traffic so the subscription share is reportable.
 //
+// The subscription protocol itself — registry, batches, stamps, routing
+// and the per-link verdicts — is src/sub/'s, shared with the shard tier.
 // Failure awareness (DESIGN.md §10): notify delivery is at-least-once.
 // Each (base, compute) link carries a sequence number on live notifies;
 // backfills carry a resynchronization baseline; subscriptions carry the
@@ -26,18 +28,15 @@
 #define PEQUOD_DISTRIB_CLUSTER_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/interval_map.hh"
-#include "common/rangeset.hh"
 #include "core/server.hh"
 #include "net/network.hh"
 #include "persist/persist.hh"
+#include "sub/subscription.hh"
 
 namespace pequod {
 namespace distrib {
@@ -107,10 +106,11 @@ class Node : public net::Endpoint {
     NodeStats stats_;
 };
 
-// Owns shards of the source tables. Absorbs all writes; pushes each to
-// the compute servers subscribed to a containing range, stamped with
-// this base's generation and the per-link notify sequence so receivers
-// can detect loss. With persistence configured (DESIGN.md §13) the
+// Owns shards of the source tables. Absorbs all writes; its
+// sub::Publisher pushes each to the compute servers subscribed to a
+// containing range, one notify per put per subscriber, stamped with this
+// base's generation and the per-link notify sequence so receivers can
+// detect loss. With persistence configured (DESIGN.md §13) the
 // source tables are *actually* durable: every client put is WAL-logged
 // and flushed before the put returns (sync-on-ack), restart() rebuilds
 // the engine from checkpoint + WAL replay, and the generation is the
@@ -126,7 +126,7 @@ class BaseServer : public Node {
         return *engine_;
     }
     uint64_t generation() const {
-        return gen_;
+        return pub_.generation();
     }
     // Simulated crash recovery: forget every subscriber and bump the
     // generation — by reloading durable state from disk when persistence
@@ -156,11 +156,6 @@ class BaseServer : public Node {
     // flush-before-ack rule verifies the self-flushing shape.
     PQ_RELEASES_ACK void handle_put(const std::string& key,
                                     const std::string& value);
-    void handle_subscribe(int from, const std::string& lo,
-                          const std::string& hi, uint64_t epoch);
-    void handle_ping(int from);
-    // The per-link live notify sequence, lazily started at 1.
-    uint64_t& live_seq(int compute_id);
     void init_engine();
     void open_persistence();
     void recover_from_disk();
@@ -168,22 +163,16 @@ class BaseServer : public Node {
     std::unique_ptr<Server> engine_;
     std::unique_ptr<persist::Persistence> persist_;
     persist::RecoverResult last_recovery_;
-    // Subscriptions are per-store routing state, not join maintenance,
-    // so the map lives outside Table. pqlint: allow(intervalmap-mutation)
-    IntervalMap<int> subscriptions_;   // subscribed range -> compute id
-    std::set<std::string, std::less<>> registered_;  // (subscriber, lo, hi)
-    std::vector<int> stab_scratch_;
-    uint64_t gen_ = 1;
-    std::map<int, uint64_t> live_seq_;   // next live notify seq per compute
-    std::map<int, uint64_t> sub_epochs_; // newest epoch per subscriber
+    sub::Publisher pub_;
 };
 
 // Executes the join for its share of users. Source data is a locally
 // cached copy kept fresh by subscriptions; the engine's source-scan
-// observer is the subscription trigger. Per-base link state implements
-// the §10 failure detectors: gap/restart detection invalidates and
-// re-subscribes, failed subscriptions back off under a retry budget,
-// and a blank restart re-materializes everything on demand.
+// observer is the subscription trigger. Its sub::Subscriber judges every
+// frame a base sends back; on top of it this tier adds the §10 recovery
+// driver: gap/restart verdicts invalidate and re-subscribe, failed
+// subscriptions back off under a retry budget, heartbeats catch lost
+// tails, and a blank restart re-materializes everything on demand.
 class ComputeServer : public Node {
   public:
     explicit ComputeServer(Cluster& cluster);
@@ -191,10 +180,10 @@ class ComputeServer : public Node {
         return *engine_;
     }
     size_t subscribed_range_count() const {
-        return subscribed_.size();
+        return sub_.covered().size();
     }
     uint64_t epoch() const {
-        return epoch_;
+        return sub_.epoch();
     }
     const FaultStats& fault_stats() const {
         return fstats_;
@@ -211,13 +200,6 @@ class ComputeServer : public Node {
     void restart();
 
   private:
-    // Delivery state for one base server's notify stream.
-    struct BaseLink {
-        uint64_t gen = 0;       // base generation last seen; 0 == none
-        uint64_t next_seq = 0;  // next expected live notify sequence
-        // Ranges whose freshness depends on this base.
-        std::vector<std::pair<std::string, std::string>> ranges;
-    };
     // A subscription attempt awaiting its backoff-delayed retry.
     struct PendingSub {
         std::string lo, hi;
@@ -227,21 +209,17 @@ class ComputeServer : public Node {
     };
 
     void handle(int from, net::Message&& m) override;
-    void handle_notify(int from, net::Message&& m);
-    void handle_backfill(int from, net::Message&& m);
-    void handle_pong(int from, const net::Message& m);
-    void apply_items(const net::Message& m);
+    // A kNotify, kBackfill or kPong: act on the Subscriber's verdict.
+    void handle_feed(int from, const net::Message& m);
     void will_scan_source(Str lo, Str hi);
     void init_engine();
     void subscribe_range(const std::string& lo, const std::string& hi);
-    bool start_subscription(int base, const std::string& lo,
-                            const std::string& hi);
+    // One synchronous subscribe + backfill; on success the range is held
+    // from `base`.
     bool subscribe_at(int base, const std::string& lo,
                       const std::string& hi);
     void schedule_retry(int base, const std::string& lo,
                         const std::string& hi, int attempts);
-    void note_subscribed(int base, const std::string& lo,
-                         const std::string& hi);
     void mark_covered_if_complete(const std::string& lo,
                                   const std::string& hi);
     bool overlaps_pending(Str lo, Str hi) const;
@@ -250,10 +228,8 @@ class ComputeServer : public Node {
     void invalidate_base(int base);
 
     std::unique_ptr<Server> engine_;
-    RangeSet subscribed_;
-    std::map<int, BaseLink> links_;
+    sub::Subscriber sub_;
     std::vector<PendingSub> pending_;
-    uint64_t epoch_ = 1;
     uint64_t now_ = 0;          // last cluster tick observed
     bool backfill_ok_ = false;  // set when a backfill is applied
     FaultStats fstats_;
@@ -375,13 +351,9 @@ class Cluster {
     int register_endpoint(net::Endpoint* e) {
         return net_.add_endpoint(e);
     }
-    // The base server owning `key`'s table group (table prefix plus the
-    // next '|'-terminated component).
+    // The base server owning `key`'s routing group (shard/routing.hh:
+    // the table prefix plus the next '|'-terminated component).
     int home_base(const std::string& key) const;
-    // The single base server owning all of [lo, hi), or -1 when the
-    // range spans table groups and is therefore sharded across every
-    // base server.
-    int home_base_for_range(Str lo, Str hi) const;
     bool is_server(int endpoint_id) const {
         return endpoint_id
             < config_.base_servers + config_.compute_servers;

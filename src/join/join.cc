@@ -1,5 +1,6 @@
 #include "join/join.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -242,6 +243,19 @@ void Join::parse(const std::string& spec) {
     if (sink_.slot_mask() & ~bindable)
         throw std::runtime_error("sink slot not bound by any source: "
                                  + spec);
+}
+
+std::vector<std::string> split_join_specs(const std::string& specs) {
+    std::vector<std::string> out;
+    size_t pos = 0;
+    while (pos < specs.size()) {
+        size_t semi = std::min(specs.find(';', pos), specs.size());
+        std::string spec = specs.substr(pos, semi - pos);
+        if (spec.find_first_not_of(" \t\n") != std::string::npos)
+            out.push_back(std::move(spec));
+        pos = semi + 1;
+    }
+    return out;
 }
 
 }  // namespace pequod

@@ -225,6 +225,10 @@ class Join {
     SlotTable slots_;
 };
 
+// The specs of a ';'-separated join list, in order, skipping blank ones
+// (a trailing ';' or newline leaves one).
+std::vector<std::string> split_join_specs(const std::string& specs);
+
 }  // namespace pequod
 
 #endif

@@ -5,16 +5,19 @@
 // whose message and byte counters are what the benches report as modeled
 // traffic; encode/decode is a genuine round-trip, not an estimate. The
 // shard tier (§12) carries the same format through MPSC mailboxes,
-// packing several messages per frame with encode_batch/decode_batch so
-// one mailbox wake amortizes across a pipeline of operations.
+// appending several encode_message frames to one buffer and reading them
+// back with a decode_message loop, so one mailbox wake amortizes across
+// a pipeline of operations. Frames are self-delimiting: a batch grows
+// one message at a time with no count header to patch.
 //
-// Delivery metadata (§10): notify frames carry the sending base server's
-// generation (bumped on restart), the subscriber epoch they were stamped
-// under, and a per-(base, compute)-link sequence number, so a compute
-// server can drop duplicates, detect gaps, and notice a base restart.
-// Backfill frames are the synchronous replies to a subscribe; they carry
-// the *next* live sequence number as a resynchronization baseline rather
-// than consuming one themselves.
+// Delivery metadata (§10), stamped by sub::Publisher in both tiers:
+// notify frames carry the owner's generation (bumped on restart), the
+// subscriber epoch they were stamped under, and a per-(owner,
+// subscriber)-link sequence number, so a subscriber can drop duplicates,
+// detect gaps, and notice an owner restart. Backfill frames are the
+// replies to a subscribe; they echo its epoch (the shard tier's wait
+// nonce) and carry the *next* live sequence number as a
+// resynchronization baseline rather than consuming one themselves.
 #ifndef PEQUOD_NET_MESSAGE_HH
 #define PEQUOD_NET_MESSAGE_HH
 
@@ -163,33 +166,6 @@ inline bool decode_message(Buffer& b, Message& m) {
         m.gen = b.read_varint();
         m.seq = b.read_varint();
         break;
-    }
-    return true;
-}
-
-// ---- multi-frame batching (§12) --------------------------------------------
-//
-// A batch is back-to-back message frames until the buffer is exhausted.
-// Messages are self-delimiting, so batches build incrementally — a
-// sender coalescing notify fan-out appends one encode_message at a time
-// and ships whatever accumulated when it flushes, with no count header
-// to patch. The shard tier's mailboxes carry one encoded batch per
-// element, so a worker wake drains a pipeline of operations.
-
-inline void encode_batch(Buffer& b, const std::vector<Message>& msgs) {
-    for (const Message& m : msgs)
-        encode_message(b, m);
-}
-
-// Appends the decoded messages to `out`. False (leaving `out` with
-// whatever decoded cleanly) when a frame fails to decode; an exhausted
-// buffer ends the batch normally.
-inline bool decode_batch(Buffer& b, std::vector<Message>& out) {
-    while (b.remaining() != 0) {
-        Message m;
-        if (!decode_message(b, m))
-            return false;
-        out.push_back(std::move(m));
     }
     return true;
 }

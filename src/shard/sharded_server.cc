@@ -14,18 +14,6 @@
 namespace pequod {
 namespace shard {
 
-namespace {
-
-// Owned copy of a Str for protocol bookkeeping (subscription registry,
-// replicated-range set) — cold-path captures, off the per-op path.
-std::string owned(Str s) {
-    std::string out;
-    out.assign(s.data(), s.size());
-    return out;
-}
-
-}  // namespace
-
 // ---- ShardClient -----------------------------------------------------------
 
 uint64_t ShardClient::submit_put(Str key, Str value) {
@@ -85,13 +73,26 @@ ShardedServer::ShardedServer(const ShardConfig& config) : config_(config) {
         throw std::invalid_argument("ShardedServer needs >= 1 shard");
     if (config_.persist.enabled())
         persist::make_dir(config_.persist.dir);
+    // Sink table prefixes, for the checkpoint enumerator's "derived,
+    // skip" filter. Parsed once; every shard installs the same specs.
+    std::vector<std::string> specs = split_join_specs(config_.joins);
+    for (const std::string& spec : specs) {
+        Join parsed;
+        parsed.parse(spec);
+        sink_prefixes_.push_back(parsed.sink().table_prefix());
+    }
     for (int s = 0; s != config_.shards; ++s) {
-        shards_.push_back(std::make_unique<ShardState>(config_.server));
+        shards_.push_back(std::make_unique<ShardState>(
+            config_.server, config_.notify_batch_items,
+            [this, s](int dest, const net::Message& m) {
+                publish_frame(s, dest, m);
+            },
+            config_.shards, s));
         ShardState& st = *shards_.back();
         st.mailbox.set_capacity(config_.mailbox_capacity);
-        st.pending_notify.resize(static_cast<size_t>(config_.shards));
         st.staged.shard_frames.resize(static_cast<size_t>(config_.shards));
-        install_joins(st.server);
+        for (const std::string& spec : specs)
+            st.server.add_join(spec);
         st.server.set_source_observer([this, s](Str lo, Str hi) {
             will_scan_source(s, lo, hi);
         });
@@ -111,24 +112,6 @@ ShardedServer::ShardedServer(const ShardConfig& config) : config_(config) {
                 },
                 [](Str, Str) {});
         }
-    }
-    // Sink table prefixes, for the checkpoint enumerator's "derived,
-    // skip" filter. Parsed once; every shard installs the same specs.
-    const std::string& joins = config_.joins;
-    size_t pos = 0;
-    while (pos < joins.size()) {
-        size_t semi = joins.find(';', pos);
-        if (semi == std::string::npos)
-            semi = joins.size();
-        // One-time constructor parse, not the request path.
-        // pqlint: allow(hot-string)
-        std::string spec = joins.substr(pos, semi - pos);
-        if (spec.find_first_not_of(" \t\n") != std::string::npos) {
-            Join parsed;
-            parsed.parse(spec);
-            sink_prefixes_.push_back(parsed.sink().table_prefix());
-        }
-        pos = semi + 1;
     }
 }
 
@@ -162,19 +145,6 @@ ShardedServer::~ShardedServer() {
         stop();
 }
 
-void ShardedServer::install_joins(Server& server) {
-    const std::string& joins = config_.joins;
-    size_t pos = 0;
-    while (pos < joins.size()) {
-        size_t semi = joins.find(';', pos);
-        if (semi == std::string::npos)
-            semi = joins.size();
-        if (semi > pos)
-            server.add_join(joins.substr(pos, semi - pos));  // pqlint: allow(hot-string)
-        pos = semi + 1;
-    }
-}
-
 ShardClient& ShardedServer::make_client() {
     if (threaded_)
         throw std::logic_error("make_client after start()");
@@ -205,7 +175,7 @@ void ShardedServer::load(Str key, Str value) {
 bool ShardedServer::has_work(int s) const {
     const ShardState& st = *shards_[static_cast<size_t>(s)];
     return st.mailbox.approx_size() != 0 || !st.deferred.empty()
-        || st.pending_notify_total != 0;
+        || st.publisher.pending() != 0;
 }
 
 const Frame* ShardedServer::peek_frame(int s) const {
@@ -229,17 +199,17 @@ bool ShardedServer::step(int s) {
     } else if (st.mailbox.try_pop(f)) {
         apply_frame(s, std::move(f));
         worked = true;
-    } else if (st.pending_notify_total != 0) {
-        flush_all_pending(s);
+    } else if (st.publisher.pending() != 0) {
+        st.publisher.flush();
         return true;
     } else {
         return false;
     }
     // Coalescing boundary: fan-out accumulated while frames kept
     // arriving; once the mailbox runs dry, wake the subscribers.
-    if (st.pending_notify_total != 0 && st.deferred.empty()
+    if (st.publisher.pending() != 0 && st.deferred.empty()
         && st.mailbox.approx_size() == 0)
-        flush_all_pending(s);
+        st.publisher.flush();
     return worked;
 }
 
@@ -271,21 +241,17 @@ void ShardedServer::apply_message(int s, int from, net::Message&& m) {
         handle_subscribe(s, from, m);
         break;
     case net::MsgType::kNotify:
-        handle_notify(s, std::move(m));
+        apply_feed(s, from, m);
         break;
-    case net::MsgType::kBackfill: {
+    case net::MsgType::kBackfill:
         // Only reachable in the threaded wait loop (the inline path
         // applies backfills synchronously). Any outstanding nonce may
-        // complete here — nested waits see outer backfills — while a
-        // nonce nobody is waiting on is a stale reply and is dropped.
-        ShardState& st = *shards_[static_cast<size_t>(s)];
-        if (st.waiting_nonces.erase(m.epoch)) {
-            st.server.put_batch(m.items);
-            st.stats.notify_items_applied += m.items.size();
-            st.completed_nonces.insert(m.epoch);
-        }
+        // complete here: nested waits see outer backfills.
+        if (shards_[static_cast<size_t>(s)]->waiting_nonces.erase(m.epoch)
+            == 0)
+            throw std::logic_error("shard: a backfill nobody waits for");
+        apply_feed(s, from, m);
         break;
-    }
     default:
         break;  // kPing/kPong/kScanReply never target a shard
     }
@@ -304,8 +270,8 @@ void ShardedServer::handle_client_put(int s, int client, net::Message&& m) {
     // no peer may see a post before its WAL batch flushes (§13).
     bool ship_early = threaded_ && !st.persist;
     if (ship_early) {
-        stage_notifies(s, m.key, m.value);
-        flush_all_pending(s);
+        st.publisher.publish(m.key, m.value);
+        st.publisher.flush();
         ship_shard_frames(s, 0);
     }
     st.server.put(m.key, m.value);
@@ -321,7 +287,7 @@ void ShardedServer::handle_client_put(int s, int client, net::Message&& m) {
     if (config_.log_applied)
         st.applied_puts.emplace_back(m.key, m.value);
     if (!ship_early)
-        stage_notifies(s, m.key, m.value);
+        st.publisher.publish(m.key, m.value);
     st.staged.completions.emplace_back(client, Completion{m.seq, 0});
 }
 
@@ -337,17 +303,10 @@ void ShardedServer::handle_client_scan(int s, int client, net::Message&& m) {
                            reply.items.emplace_back(k, *v);
                        });
     } else {
-        // Broadcast slice: serve only the keys this shard owns, so
-        // replicated source ranges are reported once (by their owner),
-        // never per replica.
+        // Broadcast slice: replicated source ranges are reported once
+        // (by their owner), never per replica.
         ++st.stats.broadcast_scans;
-        int self = s, nshards = config_.shards;
-        st.server.scan(m.key, m.value,
-                       [&reply, self, nshards](const std::string& k,
-                                               const ValuePtr& v) {
-                           if (shard_of(k, nshards) == self)
-                               reply.items.emplace_back(k, *v);
-                       });
+        scan_owned(s, m.key, m.value, reply.items);
     }
     net::Buffer out;
     net::encode_message(out, reply);
@@ -361,46 +320,61 @@ void ShardedServer::handle_client_scan(int s, int client, net::Message&& m) {
 void ShardedServer::handle_subscribe(int s, int from, const net::Message& m) {
     ShardState& st = *shards_[static_cast<size_t>(s)];
     ++st.stats.subscribes_served;
-    std::string regkey = owned(m.key);
-    regkey += '\x01';
-    regkey += owned(m.value);
-    regkey += '\x01';
-    regkey += std::to_string(from);
-    if (st.registered.insert(std::move(regkey)).second)
-        st.subscriptions.insert(owned(m.key), owned(m.value),
-                                static_cast<uint32_t>(from));
-    net::Message reply;
-    reply.type = net::MsgType::kBackfill;
-    reply.epoch = m.epoch;  // echo the requester's nonce
-    int self = s, nshards = config_.shards;
-    st.server.scan(m.key, m.value,
-                   [&reply, self, nshards](const std::string& k,
-                                           const ValuePtr& v) {
-                       if (shard_of(k, nshards) == self)
-                           reply.items.emplace_back(k, *v);
-                   });
-    st.stats.backfill_items += reply.items.size();
-    if (threaded_) {
-        // The requester is blocked in its wait loop; bypass staging.
-        Frame f;
-        f.from = s;
-        net::encode_message(f.buf, reply);
-        shards_[static_cast<size_t>(from)]->mailbox.push_force(std::move(f));
-    } else {
-        // Inline: hand the decoded round-tripped reply straight to the
-        // requester (still a real encode/decode, for wire fidelity).
-        net::Buffer wire;
-        net::encode_message(wire, reply);
-        net::Message applied;
-        net::decode_message(wire, applied);
-        ShardState& sub = *shards_[static_cast<size_t>(from)];
-        sub.server.put_batch(applied.items);
-        sub.stats.notify_items_applied += applied.items.size();
-    }
+    st.publisher.subscribe(from, m.key, m.value, m.epoch,
+                           [&](sub::Items& items) {
+                               scan_owned(s, m.key, m.value, items);
+                           });
 }
 
-void ShardedServer::handle_notify(int s, net::Message&& m) {
+void ShardedServer::scan_owned(int s, Str lo, Str hi, sub::Items& out) {
+    int nshards = config_.shards;
+    shards_[static_cast<size_t>(s)]->server.scan(
+        lo, hi, [&out, s, nshards](const std::string& k, const ValuePtr& v) {
+            if (shard_of(k, nshards) == s)
+                out.emplace_back(k, *v);
+        });
+}
+
+void ShardedServer::publish_frame(int s, int dest, const net::Message& m) {
     ShardState& st = *shards_[static_cast<size_t>(s)];
+    if (m.type == net::MsgType::kNotify) {
+        ++st.stats.notify_frames_sent;
+        st.stats.notify_items_sent += m.items.size();
+        net::encode_message(st.staged.shard_frames[static_cast<size_t>(dest)],
+                            m);
+        return;
+    }
+    st.stats.backfill_items += m.items.size();
+    send_now(s, dest, m);
+}
+
+void ShardedServer::send_now(int s, int dest, const net::Message& m) {
+    Frame f;
+    f.from = s;
+    net::encode_message(f.buf, m);
+    if (threaded_) {
+        shards_[static_cast<size_t>(dest)]->mailbox.push_force(std::move(f));
+        return;
+    }
+    // Single driving thread: the peer's handler runs to completion right
+    // here, on a real encode/decode round trip for wire fidelity. Its
+    // cost lands in the requester's service time: the simulation charges
+    // remote materialization to the requester.
+    net::Message decoded;
+    net::decode_message(f.buf, decoded);
+    if (decoded.type == net::MsgType::kSubscribe)
+        handle_subscribe(dest, s, decoded);
+    else
+        apply_feed(dest, s, decoded);
+}
+
+void ShardedServer::apply_feed(int s, int from, const net::Message& m) {
+    ShardState& st = *shards_[static_cast<size_t>(s)];
+    // Mailboxes neither lose, duplicate nor reorder a peer's frames, so
+    // a frame out of step is a protocol bug, not a fault to recover from.
+    if (st.subscriber.check(from, m) != sub::Verdict::kApply)
+        throw std::logic_error("shard subscriber: a frame from shard "
+                               + std::to_string(from) + " is out of step");
     st.server.put_batch(m.items);
     st.stats.notify_items_applied += m.items.size();
 }
@@ -412,20 +386,12 @@ void ShardedServer::will_scan_source(int s, Str lo, Str hi) {
     if (config_.shards == 1)
         return;
     ShardState& st = *shards_[static_cast<size_t>(s)];
-    int owner = shard_for_range(lo, hi, config_.shards);
-    if (owner == s)
+    if (st.subscriber.covers(lo, hi))
         return;
-    if (st.replicated.covers(lo, hi))
-        return;
-    if (owner >= 0) {
+    st.subscriber.fan_out(lo, hi, [&](int owner) {
         subscribe_to(s, owner, lo, hi);
-    } else {
-        // The range spans routing groups; every peer may own part.
-        for (int d = 0; d != config_.shards; ++d)
-            if (d != s)
-                subscribe_to(s, d, lo, hi);
-    }
-    st.replicated.add(owned(lo), owned(hi));
+        return true;
+    });
 }
 
 void ShardedServer::subscribe_to(int s, int owner, Str lo, Str hi) {
@@ -436,30 +402,18 @@ void ShardedServer::subscribe_to(int s, int owner, Str lo, Str hi) {
     sub.key.assign(lo.data(), lo.size());
     sub.value.assign(hi.data(), hi.size());
     sub.epoch = st.next_nonce++;
-    if (!threaded_) {
-        // Single driving thread: the owner's handler runs to completion
-        // right here (its cost lands in this shard's service time — the
-        // simulation charges remote materialization to the requester).
-        net::Buffer wire;
-        net::encode_message(wire, sub);
-        net::Message decoded;
-        net::decode_message(wire, decoded);
-        handle_subscribe(owner, s, decoded);
-        return;
-    }
-    // Threaded: frame the request, then serve our own mailbox while
-    // blocked so two shards subscribing to each other both progress.
+    send_now(s, owner, sub);
+    if (!threaded_)
+        return;  // the backfill is already applied
+    // Threaded: serve our own mailbox while blocked on the backfill, so
+    // two shards subscribing to each other both progress.
     // Client frames are deferred (they could start a nested
     // materialization); protocol frames — peers' subscribes, notifies,
     // our backfill — are applied immediately. Notify/backfill puts
     // re-enter the engine mid-scan, which the source-observer contract
     // explicitly permits.
-    Frame f;
-    f.from = s;
-    net::encode_message(f.buf, sub);
-    shards_[static_cast<size_t>(owner)]->mailbox.push_force(std::move(f));
     st.waiting_nonces.insert(sub.epoch);
-    while (!st.completed_nonces.count(sub.epoch)) {
+    while (st.waiting_nonces.count(sub.epoch) != 0) {
         Frame in;
         RoleGuard consumer(st.mailbox.consumer_role());
         if (!st.mailbox.try_pop(in)) {
@@ -473,56 +427,6 @@ void ShardedServer::subscribe_to(int s, int owner, Str lo, Str hi) {
         apply_frame(s, std::move(in));
         release_now(s);  // a served subscribe's reply must ship now
     }
-    st.completed_nonces.erase(sub.epoch);
-}
-
-// ---- notify fan-out --------------------------------------------------------
-
-void ShardedServer::stage_notifies(int s, Str key, Str value) {
-    ShardState& st = *shards_[static_cast<size_t>(s)];
-    if (st.subscriptions.empty())
-        return;
-    std::vector<uint32_t>& hits = st.stab_scratch;
-    hits.clear();
-    st.subscriptions.stab(key, [&hits](const uint32_t& dest) {
-        hits.push_back(dest);
-    });
-    if (hits.empty())
-        return;
-    std::sort(hits.begin(), hits.end());
-    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
-    for (uint32_t dest : hits) {
-        auto& pending = st.pending_notify[dest];
-        pending.emplace_back(owned(key), owned(value));
-        ++st.pending_notify_total;
-        if (pending.size() >= config_.notify_batch_items)
-            flush_pending_notify(s, static_cast<int>(dest));
-    }
-}
-
-void ShardedServer::flush_pending_notify(int s, int dest) {
-    ShardState& st = *shards_[static_cast<size_t>(s)];
-    auto& pending = st.pending_notify[static_cast<size_t>(dest)];
-    if (pending.empty())
-        return;
-    net::Message m;
-    m.type = net::MsgType::kNotify;
-    m.items = std::move(pending);
-    pending.clear();
-    st.pending_notify_total -= m.items.size();
-    ++st.stats.notify_frames_sent;
-    st.stats.notify_items_sent += m.items.size();
-    stage_message(s, dest, m);
-}
-
-void ShardedServer::flush_all_pending(int s) {
-    for (int d = 0; d != config_.shards; ++d)
-        flush_pending_notify(s, d);
-}
-
-void ShardedServer::stage_message(int s, int dest, const net::Message& m) {
-    ShardState& st = *shards_[static_cast<size_t>(s)];
-    net::encode_message(st.staged.shard_frames[static_cast<size_t>(dest)], m);
 }
 
 // ---- staged output ---------------------------------------------------------
@@ -651,7 +555,7 @@ std::string ShardedServer::debug_state() const {
             "pending_notify=%zu idle=%d frames=%llu puts=%llu scans=%llu "
             "subs_sent=%llu subs_served=%llu notify_applied=%llu\n",
             s, st.mailbox.approx_size(), st.deferred.size(),
-            st.waiting_nonces.size(), st.pending_notify_total,
+            st.waiting_nonces.size(), st.publisher.pending(),
             st.idle.load(std::memory_order_relaxed) ? 1 : 0,
             static_cast<unsigned long long>(st.stats.frames),
             static_cast<unsigned long long>(st.stats.client_puts),

@@ -2,24 +2,32 @@
 // owned core::Server holding the routing groups that hash to it, wired
 // together by per-shard MPSC mailboxes (common/mpsc_queue.hh). Every
 // message — client puts and scans, cross-shard subscribe/backfill,
-// notify fan-out — is net/-encoded, batched several frames deep with
-// encode_batch, and applied by the shard that owns the data, so exactly
+// notify fan-out — is net/-encoded, several messages back to back in one
+// mailbox frame, and applied by the shard that owns the data, so exactly
 // one thread ever mutates a given Server (no locks anywhere in the data
 // path; the mailboxes are the only synchronization).
 //
-// Cross-shard freshness reuses the distribution tier's protocol
-// (distrib::Cluster), peer-to-peer: when shard A materializes a join
-// whose source range lives on shard B, A's source observer sends B a
-// kSubscribe and synchronously applies the kBackfill reply; B registers
-// the range and, on later client puts into it, appends the update to a
-// per-destination pending notify batch. Batches coalesce across frames —
-// they flush only at a size limit or when B's mailbox runs dry — so a
-// burst of writes wakes each subscriber once, not once per write. The
-// exception is a threaded shard without a WAL: there each put ships its
-// notify before running its own local fan-out, trading that coalescing
-// for freshness.
-// Subscribed ranges must be base (client-written) ranges; a join whose
-// source is another join's remote sink is rejected by this tier.
+// Cross-shard freshness is the subscription protocol of src/sub/, run
+// peer-to-peer: each shard is a sub::Publisher for the base ranges it
+// owns and a sub::Subscriber for the remote ones its joins read. When
+// shard A materializes a join whose source range lives on shard B, A's
+// source observer sends B a kSubscribe and waits for the kBackfill
+// reply; B registers the range and queues later client puts into it in
+// a per-destination notify batch. This tier adds three things on top:
+//  - the nonce wait loop: a subscribing shard keeps serving protocol
+//    frames from its own mailbox until its backfill (the nonce rides in
+//    the epoch field) arrives, deferring client frames;
+//  - the mailbox-dry flush: batches coalesce across frames and flush at
+//    notify_batch_items or when the owner's mailbox runs dry, so a burst
+//    of writes wakes each subscriber once, not once per write;
+//  - the early ship: a threaded shard without a WAL ships each put's
+//    notify before running its own local fan-out, trading that
+//    coalescing for freshness.
+// Mailboxes are reliable and FIFO per peer, so every frame the
+// Subscriber judges must be in step; any other verdict throws
+// std::logic_error. Subscribed ranges must be base (client-written)
+// ranges; a join whose source is another join's remote sink is rejected
+// by this tier.
 //
 // Two execution modes over the same per-shard state and handler code:
 //  - start()/stop() spawns one worker thread per shard (the real
@@ -42,15 +50,14 @@
 #include <utility>
 #include <vector>
 
-#include "common/interval_map.hh"
 #include "common/mpsc_queue.hh"
-#include "common/rangeset.hh"
 #include "common/str.hh"
 #include "core/server.hh"
 #include "net/buffer.hh"
 #include "net/message.hh"
 #include "persist/persist.hh"
 #include "shard/routing.hh"
+#include "sub/subscription.hh"
 
 namespace pequod {
 namespace shard {
@@ -214,6 +221,12 @@ class ShardedServer {
     const ShardStats& stats(int s) const {
         return shards_[static_cast<size_t>(s)]->stats;
     }
+    PQ_QUIESCENT_CONTEXT const sub::Publisher& publisher(int s) const {
+        return shards_[static_cast<size_t>(s)]->publisher;
+    }
+    PQ_QUIESCENT_CONTEXT const sub::Subscriber& subscriber(int s) const {
+        return shards_[static_cast<size_t>(s)]->subscriber;
+    }
     const std::vector<std::pair<std::string, std::string>>&
     applied_puts(int s) const {
         return shards_[static_cast<size_t>(s)]->applied_puts;
@@ -254,34 +267,29 @@ class ShardedServer {
     };
 
     struct ShardState {
-        explicit ShardState(const ServerConfig& sc) : server(sc) {}
+        ShardState(const ServerConfig& sc, size_t notify_batch_items,
+                   sub::Send send, int nshards, int self)
+            : server(sc),
+              publisher(notify_batch_items, std::move(send)),
+              subscriber(nshards, self) {}
 
         Server server;
         MpscQueue<Frame> mailbox;
         ShardStats stats;
 
-        // Owner side: which peers subscribed which of my base ranges.
-        // Per-shard routing state like distrib::BaseServer's, not join
-        // maintenance. pqlint: allow(intervalmap-mutation)
-        IntervalMap<uint32_t> subscriptions;
-        std::set<std::string, std::less<>> registered;  // dedup keys
-        std::vector<uint32_t> stab_scratch;
-
-        // Subscriber side: source ranges already replicated here.
-        RangeSet replicated;
+        // Owner side: the peers subscribed to my base ranges and their
+        // pending notify batches. Subscriber side: the remote source
+        // ranges replicated here and one link per owning peer.
+        sub::Publisher publisher;
+        sub::Subscriber subscriber;
         uint64_t next_nonce = 1;
-        // Wait-loop state while blocked on backfills (worker thread
-        // only; the inline path never blocks). Sets, not a single nonce:
-        // serving a peer's subscribe mid-wait can trigger a nested
-        // subscribe of our own, and the outer backfill may arrive while
-        // the inner wait runs — it must be applied, not dropped.
+        // Nonces of subscribes still awaiting their backfill (worker
+        // thread only; the inline path never blocks). A set, not a
+        // single nonce: serving a peer's subscribe mid-wait can trigger
+        // a nested subscribe of our own, and the outer backfill may
+        // arrive while the inner wait runs — it must be applied, not
+        // dropped.
         std::set<uint64_t> waiting_nonces;
-        std::set<uint64_t> completed_nonces;
-
-        // Coalescing notify fan-out: per-destination pending items.
-        std::vector<std::vector<std::pair<std::string, std::string>>>
-            pending_notify;
-        size_t pending_notify_total = 0;
 
         // Frames set aside while blocked awaiting a backfill (worker
         // mode): client work deferred until the materialization that
@@ -310,7 +318,6 @@ class ShardedServer {
 
     friend class ShardClient;
 
-    void install_joins(Server& server);
     MpscQueue<Frame>& shard_mailbox(int s);
     PQ_WORKER_CONTEXT void worker_loop(int s);
     // Apply one mailbox frame's batch, then group-commit its WAL records.
@@ -322,16 +329,27 @@ class ShardedServer {
                                               net::Message&& m);
     PQ_WORKER_CONTEXT void handle_subscribe(int s, int from,
                                             const net::Message& m);
-    PQ_WORKER_CONTEXT void handle_notify(int s, net::Message&& m);
+    // The keys of [lo, hi) that shard `s` owns: a broadcast scan slice
+    // or a backfill, either of which must skip the replicas `s` holds.
+    PQ_WORKER_CONTEXT void scan_owned(int s, Str lo, Str hi,
+                                      sub::Items& out);
+    // Shard `s`'s Publisher output for peer `dest`: a notify joins the
+    // staged frame for `dest`, a backfill goes straight to the requester
+    // blocked on it.
+    PQ_WORKER_CONTEXT void publish_frame(int s, int dest,
+                                         const net::Message& m);
+    // Hand a kSubscribe or kBackfill to peer `dest` at once, past the
+    // staged output, since the requester is blocked on it: through the
+    // peer's mailbox when threaded, by running its handler inline.
+    PQ_WORKER_CONTEXT void send_now(int s, int dest, const net::Message& m);
+    // Apply a notify or backfill from `from` at shard `s`, after its
+    // Subscriber found it in step.
+    PQ_WORKER_CONTEXT void apply_feed(int s, int from,
+                                      const net::Message& m);
     // Fired by shard `s`'s engine before consulting a source range:
     // subscribe+backfill any remote, not-yet-replicated part.
     PQ_WORKER_CONTEXT void will_scan_source(int s, Str lo, Str hi);
     PQ_WORKER_CONTEXT void subscribe_to(int s, int owner, Str lo, Str hi);
-    PQ_WORKER_CONTEXT void stage_notifies(int s, Str key, Str value);
-    PQ_WORKER_CONTEXT void flush_pending_notify(int s, int dest);
-    PQ_WORKER_CONTEXT void flush_all_pending(int s);
-    PQ_WORKER_CONTEXT void stage_message(int s, int dest,
-                                         const net::Message& m);
     // Push staged peer-bound frames, stamped `vt`, to their mailboxes.
     // Leaves completions and client replies staged, so it is no
     // PQ_RELEASES_ACK: a threaded volatile put calls it mid-frame.

@@ -131,10 +131,20 @@ TEST(ShardBatch, CodecRoundTripsMixedBatches) {
     notify.items = {{"p|u2|0000000002", "world"}, {"s|u1|u2", "1"}};
     in.push_back(notify);
 
+    // A batch is back-to-back frames, read with the same decode_message
+    // loop ShardedServer::apply_frame runs; an exhausted buffer ends it.
+    auto decode_all = [](net::Buffer& buf) {
+        std::vector<net::Message> msgs;
+        net::Message m;
+        while (net::decode_message(buf, m))
+            msgs.push_back(m);
+        EXPECT_EQ(buf.remaining(), 0u) << "a frame failed to decode";
+        return msgs;
+    };
     net::Buffer b;
-    net::encode_batch(b, in);
-    std::vector<net::Message> out;
-    ASSERT_TRUE(net::decode_batch(b, out));
+    for (const net::Message& m : in)
+        net::encode_message(b, m);
+    std::vector<net::Message> out = decode_all(b);
     ASSERT_EQ(out.size(), 3u);
     EXPECT_EQ(out[0].key, put.key);
     EXPECT_EQ(out[0].value, put.value);
@@ -146,8 +156,7 @@ TEST(ShardBatch, CodecRoundTripsMixedBatches) {
     // Batches build incrementally: appending one more message to the
     // same buffer extends the batch.
     net::encode_message(b, put);
-    std::vector<net::Message> more;
-    ASSERT_TRUE(net::decode_batch(b, more));
+    std::vector<net::Message> more = decode_all(b);
     ASSERT_EQ(more.size(), 1u);
     EXPECT_EQ(more[0].key, put.key);
 }
@@ -415,6 +424,156 @@ TEST(ShardedServer, BroadcastScanFiltersReplicas) {
     for (int s = 0; s != kShards; ++s)
         broadcasts += ss.stats(s).broadcast_scans;
     EXPECT_EQ(broadcasts, static_cast<uint64_t>(kShards));
+}
+
+// A trailing ';' (or newline) in ShardConfig::joins leaves a blank spec
+// that the splitter skips, as distrib::Cluster always did: the server
+// constructs and serves the same timeline as with the bare spec.
+TEST(ShardedServer, TrailingSemicolonSpecServesSameTimeline) {
+    auto timeline = [](const std::string& joins) {
+        ShardConfig cfg;
+        cfg.shards = 2;
+        cfg.joins = joins;
+        ShardedServer ss(cfg);
+        ShardClient& client = ss.make_client();
+        ss.load("s|u000|u001", "1");
+        ss.load("s|u000|u002", "1");
+        ss.load("p|u001|0000000001", "hello");
+        ss.load("p|u002|0000000002", "world");
+        client.submit_scan("t|u000|", "t|u000}");
+        client.submit_put("p|u002|0000000003", "later");
+        client.flush();
+        settle(ss);
+        client.submit_scan("t|u000|", "t|u000}");
+        client.flush();
+        settle(ss);
+        return drain_replies(client);
+    };
+    Items want = timeline(kTimelineJoin);
+    EXPECT_EQ(want.size(), 5u);  // two rows, then three
+    EXPECT_EQ(timeline(std::string(kTimelineJoin) + ";\n"), want);
+    EXPECT_EQ(timeline(std::string(kTimelineJoin) + "; ;"), want);
+}
+
+// Subscribes, backfills and notifies interleaved across two shards:
+// logins materialize timelines (subscribe + backfill), posts fan out
+// (notify), and follows make fan-out subscribe new poster ranges
+// mid-stream. Every notify and backfill passes its shard's Subscriber,
+// which throws on anything out of step; at the end every link must have
+// applied every sequence its owner issued, and every timeline must
+// match a one-Server oracle.
+void run_interleaved_feeds(bool threaded) {
+    constexpr int kUsers = 12;
+    constexpr int kOps = 900;
+    auto user = [](int u) {
+        return "u" + pad_number(static_cast<uint64_t>(u), 3);
+    };
+    ShardConfig cfg;
+    cfg.shards = 2;
+    cfg.joins = kTimelineJoin;
+    cfg.notify_batch_items = 3;  // small, so batches also flush early
+    ShardedServer ss(cfg);
+    ShardClient& client = ss.make_client();
+    Server oracle;
+    oracle.add_join(kTimelineJoin);
+    uint64_t ts = 0;
+    for (int u = 0; u != kUsers; ++u) {
+        std::string k = "s|" + user(u) + "|" + user((u + 1) % kUsers);
+        ss.load(k, "1");
+        oracle.put(k, "1");
+        std::string p = "p|" + user(u) + "|" + pad_number(++ts, 10);
+        ss.load(p, "seed");
+        oracle.put(p, "seed");
+    }
+
+    Rng rng(threaded ? 11 : 12);
+    // Inline: step shards in a random order and hold staged output back
+    // for a while, so backfills (sent directly) overtake staged notifies.
+    auto churn = [&] {
+        for (int k = 0; k != 6; ++k) {
+            int s = static_cast<int>(rng.below(2));
+            if (ss.step(s) && rng.below(3) == 0)
+                ss.release_staged(s, 0);
+        }
+    };
+    if (threaded)
+        ss.start();
+    for (int i = 0; i != kOps; ++i) {
+        int u = static_cast<int>(rng.below(kUsers));
+        uint64_t kind = rng.below(10);
+        if (kind < 3) {
+            std::string lo = "t|" + user(u) + "|";
+            client.submit_scan(lo, prefix_successor(lo));
+        } else if (kind < 8) {
+            std::string k = "p|" + user(u) + "|" + pad_number(++ts, 10);
+            client.submit_put(k, "post " + std::to_string(i));
+            oracle.put(k, "post " + std::to_string(i));
+        } else {
+            std::string k = "s|" + user(u) + "|"
+                + user(static_cast<int>(rng.below(kUsers)));
+            client.submit_put(k, "1");
+            oracle.put(k, "1");
+        }
+        if (rng.below(3) == 0) {
+            client.flush();
+            if (!threaded)
+                churn();
+        }
+    }
+    client.flush();
+    if (threaded) {
+        ss.stop();
+    } else {
+        for (int s = 0; s != 2; ++s)
+            ss.release_staged(s, 0);
+    }
+    settle(ss);
+    drain_replies(client);
+
+    uint64_t notify_frames = 0, subscribes = 0;
+    int links = 0;
+    for (int d = 0; d != 2; ++d) {
+        notify_frames += ss.stats(d).notify_frames_sent;
+        subscribes += ss.stats(d).subscribes_sent;
+        for (int o = 0; o != 2; ++o) {
+            if (o == d)
+                continue;
+            uint64_t got = ss.subscriber(d).next_seq(o);
+            uint64_t issued = ss.publisher(o).next_seq(d);
+            if (got == 0) {
+                EXPECT_EQ(issued, 1u) << "shard " << o
+                                      << " notified unlinked shard " << d;
+                continue;
+            }
+            ++links;
+            EXPECT_EQ(got, issued) << "shard " << d << " missed notifies "
+                                   << "from shard " << o;
+        }
+    }
+    EXPECT_GT(subscribes, 0u);
+    EXPECT_GT(notify_frames, 0u);
+    EXPECT_EQ(links, 2) << "both shards should read the other's posts";
+
+    for (int u = 0; u != kUsers; ++u) {
+        std::string lo = "t|" + user(u) + "|";
+        std::string hi = prefix_successor(lo);
+        client.submit_scan(lo, hi);
+        client.flush();
+        settle(ss);
+        Items want;
+        oracle.scan(lo, hi, [&](const std::string& k, const ValuePtr& v) {
+            want.emplace_back(k, *v);
+        });
+        EXPECT_EQ(drain_replies(client), want) << "timeline of " << user(u);
+    }
+}
+
+TEST(ShardedServer, InterleavedFeedsStayInStepInline) {
+    run_interleaved_feeds(false);
+}
+
+TEST(ShardedServer, InterleavedFeedsStayInStepThreaded) {
+    run_interleaved_feeds(true);
 }
 
 TEST(ShardedServer, AppliedPutLogFollowsApplicationOrder) {

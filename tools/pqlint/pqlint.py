@@ -10,11 +10,11 @@ documents, the ones a C++ compiler cannot check for us:
                           types (OwnedSlots, KeyBuf, Entry), whose contract
                           is exactly "keep the bytes alive next to the
                           slices", may hold Str members.
-  hot-string              The write/scan hot path (src/store/, src/core/,
-                          src/common/) must not construct std::string
-                          temporaries: no `std::string(...)`, `.substr(...)`
-                          or `.str()` -- slice with Str, synthesize keys
-                          into KeyBuf instead.
+  hot-string              The write/scan hot path (HOT_DIRS below) must
+                          not construct std::string temporaries: no
+                          `std::string(...)`, `.substr(...)` or `.str()`
+                          -- slice with Str, synthesize keys into KeyBuf
+                          instead.
   intervalmap-mutation    Updater IntervalMaps belong to Table; holding a
                           private IntervalMap outside src/core/ bypasses the
                           routing (and the PEQUOD_VALIDATE hooks) that keep
@@ -66,7 +66,8 @@ SANCTIONED_STR_OWNERS = {"OwnedSlots", "KeyBuf", "Entry"}
 # Directories (relative to the scan root) whose files form the hot path.
 # persist is here because the WAL append rides every acked write; its
 # recovery-time and error-path copies carry reviewed allow() comments.
-HOT_DIRS = ("store", "core", "common", "shard", "persist")
+# sub is here because the subscription publisher stabs on every shard put.
+HOT_DIRS = ("store", "core", "common", "shard", "persist", "sub")
 
 ALLOW_RE = re.compile(r"pqlint:\s*allow\(([a-z\-,\s]+)\)")
 
