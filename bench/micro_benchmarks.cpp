@@ -1,10 +1,12 @@
 // Google-benchmark microbenchmarks for Pequod's building blocks: store
 // operations across the tree layers, pattern matching and containing-range
 // computation, the updater interval tree, the wire codec, join execution,
-// and eager incremental maintenance.
+// login materialization, and eager incremental maintenance.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <memory>
+#include <string>
 #include <thread>
 
 #include "common/interval_map.hh"
@@ -225,6 +227,101 @@ void BM_EagerUpdate(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * followers);
 }
 BENCHMARK(BM_EagerUpdate)->Arg(10)->Arg(100)->Arg(1000);
+
+constexpr const char* kTimelineJoin =
+    "t|<u>|<ts:10>|<p> = check s|<u>|<p> copy p|<p>|<ts:10>";
+
+std::string user_key(const char* table, int user) {
+    return std::string(table) + pad_number(static_cast<uint64_t>(user), 6)
+        + "|";
+}
+
+void BM_LoginMaterialize(benchmark::State& state) {
+    // One login: materialize a timeline over `range(0)` posters with 5
+    // posts each, while `range(1)` other followers of the same posters
+    // are already materialized, so every poster's updater group exists
+    // and the login only adds its bindings. Logins run in batches of
+    // 128 fresh users over one warmed server; rebuilding it is untimed.
+    const int posters = static_cast<int>(state.range(0));
+    const int others = static_cast<int>(state.range(1));
+    const int batch = 128;
+    size_t rows = 0;
+    auto count = [&rows](const std::string&, const ValuePtr&) { ++rows; };
+    std::unique_ptr<Server> server;
+    int next = batch;
+    int64_t logins = 0;
+    for (auto _ : state) {
+        if (next == batch) {
+            state.PauseTiming();
+            server = std::make_unique<Server>();
+            server->add_join(kTimelineJoin);
+            for (int u = 0; u < others + batch; ++u)
+                for (int p = 0; p < posters; ++p)
+                    server->put(user_key("s|", u) + "poster"
+                                    + pad_number(static_cast<uint64_t>(p), 4),
+                                "1");
+            for (int p = 0; p < posters; ++p)
+                for (uint64_t i = 1; i <= 5; ++i)
+                    server->put("p|poster"
+                                    + pad_number(static_cast<uint64_t>(p), 4)
+                                    + "|" + pad_number(i * 100 + p, 10),
+                                std::string(100, 'x'));
+            for (int u = 0; u < others; ++u) {
+                std::string lo = user_key("t|", u);
+                server->scan(lo, prefix_successor(lo), count);
+            }
+            next = 0;
+            state.ResumeTiming();
+        }
+        std::string lo = user_key("t|", others + next++);
+        server->scan(lo, prefix_successor(lo), count);
+        benchmark::DoNotOptimize(rows);
+        ++logins;
+    }
+    state.SetItemsProcessed(logins);
+}
+BENCHMARK(BM_LoginMaterialize)->Args({17, 10})->Args({17, 1000});
+
+void BM_FanOutPost(benchmark::State& state) {
+    // One 100-byte post into `range(0)` materialized timelines, shaped
+    // like the shard tier: §4.3 sharing on, and every follower also
+    // follows 16 other posters, so each timeline and each updater group
+    // holds realistic neighbours. Post keys are pre-generated.
+    const int followers = static_cast<int>(state.range(0));
+    ServerConfig cfg;
+    cfg.enable_value_sharing = true;
+    Server server(cfg);
+    server.add_join(kTimelineJoin);
+    const std::string body(100, 'x');
+    for (int f = 0; f < followers; ++f) {
+        server.put(user_key("s|", f) + "star", "1");
+        for (int p = 0; p < 16; ++p)
+            server.put(user_key("s|", f) + "other"
+                           + pad_number(static_cast<uint64_t>((f + p) % 64),
+                                        4),
+                       "1");
+    }
+    for (int p = 0; p < 64; ++p)
+        server.put("p|other" + pad_number(static_cast<uint64_t>(p), 4) + "|"
+                       + pad_number(0, 10),
+                   body);
+    for (int f = 0; f < followers; ++f) {
+        std::string lo = user_key("t|", f);
+        server.scan(lo, prefix_successor(lo),
+                    [](const std::string&, const ValuePtr&) {});
+    }
+    std::vector<std::string> post_keys;
+    for (uint64_t i = 1; i <= 1 << 16; ++i)
+        post_keys.push_back("p|star|" + pad_number(i, 10));
+    uint64_t now = 0;
+    for (auto _ : state) {
+        server.put(post_keys[now++ % post_keys.size()], body);
+        benchmark::DoNotOptimize(server.eager_update_count());
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations())
+                            * followers);
+}
+BENCHMARK(BM_FanOutPost)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_MpscQueueSingleProducer(benchmark::State& state) {
     // The shard mailbox hot path with no contention: one thread both

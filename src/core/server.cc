@@ -1,6 +1,7 @@
 #include "core/server.hh"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -257,10 +258,10 @@ Table* Server::route(Str key, WriteHint* hint) {
     return t;
 }
 
-// The unified write path: stab the owning table's updaters whether this
-// write came from a client or from another join's emission, so chained
-// joins stay eagerly fresh. Collect first, then apply: applying an
-// update can install new updaters (e.g. a new check-source match pulls
+// The unified write path: stab the owning table's updater groups whether
+// this write came from a client or from another join's emission, so
+// chained joins stay eagerly fresh. Collect first, then apply: applying
+// an update can install new groups (e.g. a new check-source match pulls
 // in a fresh copy range), and the interval map must not mutate mid-stab.
 // The per-table scratch cannot be re-entered: recursion only descends
 // into downstream tables, and cycles are rejected at add_join. `stored`
@@ -269,17 +270,16 @@ Table* Server::route(Str key, WriteHint* hint) {
 void Server::stab(Table& t, Str key, const Entry& stored, bool inserted) {
     if (t.updaters().empty())
         return;
-    std::vector<uint32_t>& hits = t.stab_scratch();
+    std::vector<UpdaterGroup*>& hits = t.stab_scratch();
     hits.clear();
-    t.updaters().stab(key, [&hits](const uint32_t& idx) {
+    t.updaters().stab(key, [&hits](UpdaterGroup* const& g) {
         // Per-table scratch reuses warm capacity; growth only while
         // the hit count sets a new high-water mark.
         // pqcheck: allow(no-alloc)
-        hits.push_back(idx);
+        hits.push_back(g);
     });
-    for (uint32_t idx : hits)
-        if (Updater* u = updaters_[idx].get())  // torn-down slots are null
-            apply_update(*u, key, stored, inserted);
+    for (UpdaterGroup* g : hits)
+        apply_update(*g, key, stored, inserted);
 }
 
 void Server::write(Str key, Str value, WriteHint* hint) {
@@ -306,7 +306,7 @@ void Server::write_emitted(Str key, const Entry& src, WriteHint* hint) {
 // The remote store cannot say whether the key existed, so a remote write
 // stabs as an insert: a non-final source re-runs the rest of the join on
 // every write, which is idempotent (same sink keys and values), and
-// Sink::registered keeps the updaters unique.
+// the groups' binding arrays keep the updaters unique.
 void Server::write_remote(Table& t, Str key, Str value) {
     remote_->rpc_put(key, value);
     if (t.updaters().empty())
@@ -418,22 +418,8 @@ void Server::execute(Table& sink_table, int source_index, const SlotSet& ss,
     if (observer_)
         observer_(range.lo, range.hi);
     freshen(range.lo, range.hi);
-    if (install_updaters) {
-        // An updater is determined by its source and bindings (the range
-        // derives from them); install each at most once.
-        if (sink_table.sink()
-                .registered.insert(updater_dedup_key(source_index, ss))
-                .second) {
-            auto u = std::make_unique<Updater>(
-                Updater{&sink_table, source_index, OwnedSlots(ss),
-                        SlotSet(), WriteHint()});
-            u->bound_view = u->bound.view();
-            updaters_.push_back(std::move(u));
-            table_for(range.lo).updaters().insert(
-                range.lo, range.hi,
-                static_cast<uint32_t>(updaters_.size() - 1));
-        }
-    }
+    if (install_updaters)
+        install_updater(sink_table, source_index, ss, range);
     auto visit = [&](const std::string& key, const Entry& e) {
         ++stat_source_rows_;
         SlotSet bound = ss;
@@ -456,20 +442,50 @@ void Server::execute(Table& sink_table, int source_index, const SlotSet& ss,
         table_for(range.lo).store().scan(range.lo, range.hi, visit);
 }
 
-// Serialized (source index, bindings): the identity under which an
-// updater registers in Sink::registered, shared by installation
-// (execute) and teardown (invalidate_table) so both agree.
-std::string Server::updater_dedup_key(int source_index, const SlotSet& ss) {
-    std::string dedup(1, static_cast<char>(source_index));
-    for (int slot = 0; slot < kMaxSlots; ++slot) {
-        if (ss.has(slot)) {
-            dedup += '\1';
-            Str v = ss[slot];
-            dedup.append(v.data(), v.size());
-        }
-        dedup += '\0';
+void Server::group_key(int source_index, Str packed, KeyBuf& out) {
+    out.push_back(static_cast<char>(source_index));
+    out.append(packed);
+}
+
+// Register maintenance for source `source_index` under the bindings
+// `ss`: find or create the group for the source range — the slots the
+// source pattern uses determine it — then binary-search the binding of
+// the remaining slots into the group's array. Installing a binding that
+// is already there changes nothing, so overlapping materializations
+// cannot duplicate maintenance work.
+void Server::install_updater(Table& sink_table, int source_index,
+                             const SlotSet& ss, const KeyRange& range) {
+    Table::Sink& sk = sink_table.sink();
+    unsigned used = sk.join.source(source_index).slot_mask();
+    KeyBuf bound;
+    OwnedSlots::pack(ss, used, bound);
+    KeyBuf id;
+    group_key(source_index, bound.view(), id);
+    auto it = sk.groups.find(id.view());
+    if (it == sk.groups.end()) {
+        std::string key(id.data(), id.size());
+        it = sk.groups.try_emplace(std::move(key)).first;
+        UpdaterGroup& g = it->second;
+        g.sink_table = &sink_table;
+        g.source_index = source_index;
+        g.bound.assign(ss, used);
+        table_for(range.lo).updaters().insert(range.lo, range.hi, &g);
+        ++live_groups_;
     }
-    return dedup;
+    UpdaterGroup& g = it->second;
+    KeyBuf rest;
+    OwnedSlots::pack(ss, ~used, rest);
+    size_t pos = g.lower_bound(rest.view());
+    if (pos < g.bindings.size() && g.slots(g.bindings[pos]) == rest.view())
+        return;
+    UpdaterBinding b;
+    b.order = UpdaterGroup::order_of(rest.view());
+    b.off = static_cast<uint32_t>(g.arena.size());
+    b.len = static_cast<uint32_t>(rest.size());
+    g.arena.append(rest.data(), rest.size());
+    g.bindings.insert(g.bindings.begin() + static_cast<ptrdiff_t>(pos), b);
+    ++g.version;
+    ++live_bindings_;
 }
 
 size_t Server::invalidate_range(Str lo, Str hi) {
@@ -490,67 +506,97 @@ size_t Server::invalidate_range(Str lo, Str hi) {
 }
 
 // One table's share of an invalidation: wipe the stored entries and any
-// sink validity over [lo, hi), then tear down the updaters registered
-// over source ranges inside it. Each torn updater's sink output range is
-// recursively invalidated — that is what cascades a suspect base range
-// through chained joins. Termination: join cycles are rejected at
-// add_join, and an updater is torn down at most once (its slot is nulled
-// the first time).
+// sink validity over [lo, hi), then tear down the updater groups
+// registered over source ranges inside it. Each torn binding's sink
+// output range is recursively invalidated — that is what cascades a
+// suspect base range through chained joins. Termination: join cycles are
+// rejected at add_join, so the recursion only descends into downstream
+// tables and never meets a group collected here.
 size_t Server::invalidate_table(Table& t, Str lo, Str hi) {
     t.invalidate_range(lo, hi);
     if (t.updaters().empty())
         return 0;
     // Collect first: the recursion below may erase intervals from other
     // tables' maps, but never re-enters this one mid-traversal.
-    std::vector<uint32_t> removed;
-    t.updaters().erase_overlapping(lo, hi, [&removed](const uint32_t& idx) {
-        removed.push_back(idx);
-    });
+    std::vector<UpdaterGroup*> removed;
+    t.updaters().erase_overlapping(lo, hi,
+                                   [&removed](UpdaterGroup* const& g) {
+                                       removed.push_back(g);
+                                   });
     size_t torn = 0;
-    for (uint32_t idx : removed) {
-        std::unique_ptr<Updater> u = std::move(updaters_[idx]);
-        if (!u)
-            continue;  // already torn down via an overlapping range
-        ++torn;
-        Table::Sink& sk = u->sink_table->sink();
-        // Forget the registration so the next materialization re-installs
-        // maintenance for this (source, bindings).
-        sk.registered.erase(
-            updater_dedup_key(u->source_index, u->bound_view));
-        KeyRange out = sk.join.sink().containing_range(u->bound_view);
-        torn += invalidate_table(*u->sink_table, out.lo, out.hi);
+    for (UpdaterGroup* g : removed) {
+        Table& sink_table = *g->sink_table;
+        Table::Sink& sk = sink_table.sink();
+        torn += g->bindings.size();
+        live_bindings_ -= g->bindings.size();
+        --live_groups_;
+        SlotSet group_slots = g->bound.view();
+        for (const UpdaterBinding& b : g->bindings) {
+            SlotSet ss = group_slots;
+            OwnedSlots::unpack(g->slots(b), ss);
+            KeyRange out = sk.join.sink().containing_range(ss);
+            torn += invalidate_table(sink_table, out.lo, out.hi);
+        }
+        // Forget the group so the next materialization re-installs
+        // maintenance for this source range.
+        KeyBuf id;
+        group_key(g->source_index, g->bound.packed(), id);
+        sk.groups.erase(sk.groups.find(id.view()));
     }
     return torn;
 }
 
-void Server::apply_update(Updater& u, Str key, const Entry& stored,
+// One stabbed group: re-match the source pattern once, then run every
+// binding. Each binding's bytes are copied to the stack before it runs:
+// its work can re-enter installation (a chained join materializing this
+// join's sink) and grow this very array. Bindings are never removed while
+// a write is in flight, so when `version` moves the loop finds its own
+// binding again and carries on after it; a binding inserted meanwhile
+// was installed by a scan that already saw this write.
+void Server::apply_update(UpdaterGroup& g, Str key, const Entry& stored,
                           bool inserted) {
-    Table::Sink& sk = u.sink_table->sink();
-    // Copy the pre-sliced bindings and extend them from the written key:
-    // nothing here allocates until a genuinely new entry is stored.
-    SlotSet bound = u.bound_view;
-    if (!sk.join.source(u.source_index).match(key, bound))
+    const Join& join = g.sink_table->sink().join;
+    SlotSet matched;
+    OwnedSlots::unpack(g.bound.packed(), matched);
+    if (!join.source(g.source_index).match(key, matched))
         return;
-    if (u.source_index + 1 == sk.join.nsource()) {
-        KeyBuf sink_key;
-        sk.join.sink().expand(bound, sink_key);
-        write_emitted(sink_key.view(), stored,
-                      config_.enable_output_hints ? &u.out : nullptr);
-        ++stat_eager_updates_;
-    } else if (!inserted) {
-        // Overwriting an existing non-final (check) key: its downstream
-        // ranges were already copied and registered when it first
-        // appeared; re-executing would install duplicate updaters.
+    bool last = g.source_index + 1 == join.nsource();
+    // Overwriting an existing non-final (check) key: its downstream
+    // ranges were already copied and registered when it first appeared;
+    // re-executing would only repeat that work.
+    if (!last && !inserted)
         return;
-    } else {
-        // A non-final source changed (e.g. a new subscription): run the
-        // rest of the join under the extended bindings, copying existing
-        // source entries and installing updaters for the new ranges.
-        auto emit = [this](Str out_key, const Entry& src) {
-            write_emitted(out_key, src, nullptr);
-        };
-        EmitRef emit_ref(emit);
-        execute(*u.sink_table, u.source_index + 1, bound, true, emit_ref);
+    KeyBuf slots;
+    for (size_t k = 0; k < g.bindings.size(); ++k) {
+        UpdaterBinding& b = g.bindings[k];
+        slots.clear();
+        slots.append(g.slots(b));
+        SlotSet bound = matched;
+        OwnedSlots::unpack(slots.view(), bound);
+        uint64_t version = g.version;
+        if (last) {
+            KeyBuf sink_key;
+            join.sink().expand(bound, sink_key);
+            // The write is done with the hint before it stabs any
+            // downstream table, so a re-entrant install cannot move `b`
+            // from under it.
+            write_emitted(sink_key.view(), stored,
+                          config_.enable_output_hints ? &b.out : nullptr);
+            ++stat_eager_updates_;
+        } else {
+            // A non-final source gained a key (e.g. a new subscription):
+            // run the rest of the join under the extended bindings,
+            // copying existing source entries and installing updaters
+            // for the new ranges.
+            auto emit = [this](Str out_key, const Entry& src) {
+                write_emitted(out_key, src, nullptr);
+            };
+            EmitRef emit_ref(emit);
+            execute(*g.sink_table, g.source_index + 1, bound, true,
+                    emit_ref);
+        }
+        if (g.version != version)
+            k = g.lower_bound(slots.view());
     }
 }
 
@@ -588,50 +634,103 @@ void Server::verify() const {
         entry.second.verify();
     }
 
-    // Every interval in any updater map must name a live updater, and
-    // each live updater must be registered exactly once — a torn-down
-    // (null) slot with a surviving interval would stab into freed state,
-    // and a live updater with no interval is maintenance that silently
-    // stopped firing.
-    std::vector<size_t> interval_refs(updaters_.size(), 0);
-    auto count_table = [this, &interval_refs](const Table& t) {
-        t.updaters().for_each([this, &interval_refs](
-                                  const std::string& lo, const std::string&,
-                                  const uint32_t& idx) {
-            if (idx >= updaters_.size())
-                invariant_fail("Server", "updater interval names an "
-                                         "out-of-range index");
-            if (!updaters_[idx])
-                invariant_fail("Server", "updater interval survives its "
-                                         "torn-down updater (lo=" + lo
-                                         + ")");
-            ++interval_refs[idx];
+    // Updater groups. Every interval in any updater map must name a
+    // live group, and each live group must be registered exactly once,
+    // over its own source range, in the table that owns that range — a
+    // surviving interval of a torn-down group would stab into freed
+    // state, and a group with no interval is maintenance that silently
+    // stopped firing. A group's bindings must be sorted and unique (the
+    // install search and the stab loop's resume both rely on it), bind
+    // only slots its source pattern leaves open, and the sink's index
+    // must file the group under its own key.
+    struct Registration {
+        const Table* table;
+        const std::string* lo;
+        const std::string* hi;
+        size_t count;
+    };
+    std::unordered_map<const UpdaterGroup*, Registration> registered;
+    auto count_table = [&registered](const Table& t) {
+        t.updaters().for_each([&registered, &t](const std::string& lo,
+                                                const std::string& hi,
+                                                UpdaterGroup* const& g) {
+            Registration& r = registered[g];
+            r = Registration{&t, &lo, &hi, r.count + 1};
         });
     };
     count_table(root_);
     for (const auto& entry : tables_)
         count_table(entry.second);
-    for (size_t i = 0; i < updaters_.size(); ++i) {
-        const Updater* u = updaters_[i].get();
-        if (!u) {
-            if (interval_refs[i] != 0)
-                invariant_fail("Server", "null updater still registered");
-            continue;
+    size_t groups = 0, bindings = 0;
+    auto check_sink = [&](const Table& sink_table) {
+        const Table::Sink& sk = sink_table.sink();
+        for (const auto& [key, g] : sk.groups) {
+            ++groups;
+            bindings += g.bindings.size();
+            if (g.sink_table != &sink_table)
+                invariant_fail("Server", "updater group names another "
+                                         "sink table");
+            if (g.source_index < 0 || g.source_index >= sk.join.nsource())
+                invariant_fail("Server", "updater group names a source "
+                                         "its join lacks");
+            KeyBuf id;
+            group_key(g.source_index, g.bound.packed(), id);
+            if (id.view() != Str(key))
+                invariant_fail("Server", "sink's group index files a "
+                                         "group under another key");
+            const Pattern& pat = sk.join.source(g.source_index);
+            if (g.bound.mask() & ~pat.slot_mask())
+                invariant_fail("Server", "updater group binds a slot its "
+                                         "source pattern lacks");
+            if (g.bindings.empty())
+                invariant_fail("Server", "updater group has no bindings");
+            for (size_t i = 0; i < g.bindings.size(); ++i) {
+                const UpdaterBinding& b = g.bindings[i];
+                if (size_t(b.off) + b.len > g.arena.size() || b.len == 0)
+                    invariant_fail("Server", "updater binding outside its "
+                                             "group's arena");
+                Str packed = g.slots(b);
+                if (b.order != UpdaterGroup::order_of(packed))
+                    invariant_fail("Server", "updater binding's order key "
+                                             "disagrees with its slots");
+                if (static_cast<unsigned char>(packed[0]) & pat.slot_mask())
+                    invariant_fail("Server", "updater binding repeats a "
+                                             "slot of its group");
+                if (i > 0 && !(g.slots(g.bindings[i - 1]) < packed))
+                    invariant_fail("Server", "updater bindings out of "
+                                             "order or duplicated");
+            }
+            auto r = registered.find(&g);
+            if (r == registered.end() || r->second.count != 1)
+                invariant_fail(
+                    "Server",
+                    "live updater group registered "
+                        + std::to_string(r == registered.end()
+                                             ? 0
+                                             : r->second.count)
+                        + " times (expected exactly 1)");
+            KeyRange range = pat.containing_range(g.bound.view());
+            if (*r->second.lo != range.lo || *r->second.hi != range.hi)
+                invariant_fail("Server", "updater group registered over "
+                                         "another range (lo="
+                                         + *r->second.lo + ")");
+            if (r->second.table != &table_for(range.lo))
+                invariant_fail("Server", "updater group registered in a "
+                                         "table that does not own its "
+                                         "source range");
+            registered.erase(r);
         }
-        if (interval_refs[i] != 1)
-            invariant_fail("Server",
-                           "live updater registered "
-                               + std::to_string(interval_refs[i])
-                               + " times (expected exactly 1)");
-        if (!u->sink_table || !u->sink_table->is_sink())
-            invariant_fail("Server", "updater names a sink table that is "
-                                     "not a sink");
-        const Table::Sink& sk = u->sink_table->sink();
-        if (!sk.registered.count(
-                updater_dedup_key(u->source_index, u->bound_view)))
-            invariant_fail("Server", "live updater missing from its "
-                                     "sink's registration set");
-    }
+    };
+    for (const auto& entry : tables_)
+        if (entry.second.is_sink())
+            check_sink(entry.second);
+    if (!registered.empty())
+        invariant_fail("Server", "updater interval survives its torn-down "
+                                 "group (lo="
+                                     + *registered.begin()->second.lo + ")");
+    if (groups != live_groups_ || bindings != live_bindings_)
+        invariant_fail("Server", "live updater counts disagree with the "
+                                 "groups' bindings");
 
     // §4.3 refcount reconciliation: every reference to a shared buffer
     // is held by exactly one stored entry, so each buffer's refcount
@@ -656,6 +755,36 @@ void Server::verify() const {
                 "shared value refcount " + std::to_string(kv.first->refs())
                     + " disagrees with its " + std::to_string(kv.second)
                     + " referencing entries");
+}
+
+bool Server::unsort_bindings_for_test() {
+    for (auto& entry : tables_) {
+        if (!entry.second.is_sink())
+            continue;
+        for (auto& kv : entry.second.sink().groups)
+            if (kv.second.bindings.size() >= 2) {
+                std::swap(kv.second.bindings[0], kv.second.bindings[1]);
+                return true;
+            }
+    }
+    return false;
+}
+
+bool Server::orphan_group_for_test() {
+    for (auto& entry : tables_) {
+        if (!entry.second.is_sink())
+            continue;
+        for (auto& kv : entry.second.sink().groups) {
+            const UpdaterGroup& g = kv.second;
+            KeyRange range = entry.second.sink()
+                                 .join.source(g.source_index)
+                                 .containing_range(g.bound.view());
+            table_for(range.lo).updaters().erase_overlapping(
+                range.lo, range.hi, [](UpdaterGroup* const&) {});
+            return true;
+        }
+    }
+    return false;
 }
 
 MemoryStats Server::memory_stats() const {

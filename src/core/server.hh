@@ -6,13 +6,13 @@
 // scanned range belongs to a join's sink table, the server materializes
 // it on first access by executing the join over its sources (first
 // freshening any source that is itself a maintained sink), then keeps it
-// fresh: every source range consulted during execution registers an
-// updater, and later writes to that range — from clients or from another
-// join's emission — eagerly fan the change out into the materialized
-// sink entries (§3.2). Joins may therefore chain (a sink feeding further
-// joins); only cyclic specs and reads of a `pull` join's sink are
-// rejected. `pull` joins skip materialization and recompute on every
-// scan.
+// fresh: every source range consulted during execution registers a
+// binding in that range's updater group, and later writes to that range
+// — from clients or from another join's emission — eagerly fan the
+// change out into the materialized sink entries (§3.2). Joins may
+// therefore chain (a sink feeding further joins); only cyclic specs and
+// reads of a `pull` join's sink are rejected. `pull` joins skip
+// materialization and recompute on every scan.
 //
 // The write path runs on Str views end to end (§8): routing probes the
 // table directory with the key slice, pattern matching binds slots as
@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,7 +54,8 @@ struct ServerConfig {
     // §4.3: a copy join's sink entry references the source entry's value
     // buffer instead of duplicating the bytes; memory_stats() counts each
     // shared buffer once. Off by default so the plain-KV hot path carries
-    // no refcount bookkeeping unless a deployment opts in.
+    // no refcount bookkeeping unless a deployment opts in; the shard tier
+    // does (shard::ShardConfig).
     bool enable_value_sharing = false;
 };
 
@@ -162,11 +162,11 @@ class Server {
     }
 
     // Declare [lo, hi) suspect (§10): erase the cached entries, tear
-    // down every updater registered over a source range inside it, and
-    // shrink the valid ranges of the sinks those updaters maintained —
+    // down every updater group registered over a source range inside it,
+    // and shrink the valid ranges of the sinks its bindings maintained —
     // cascading through chained joins — so the affected output
     // re-materializes via scan instead of serving possibly-stale data.
-    // Returns the number of updaters torn down.
+    // Returns the number of bindings torn down.
     PQ_REQUIRES_OWNER size_t invalidate_range(Str lo, Str hi);
 
     // Aggregated over the root table and every routed table.
@@ -175,11 +175,13 @@ class Server {
     // Re-derive the engine's cross-table invariants (DESIGN.md §11):
     // every table (and its store, valid set, and updater treap) checks
     // out structurally; the table directory never nests prefixes; every
-    // interval registered in any updater map names a live updater, and
-    // every live updater is registered exactly once under the dedup key
-    // its sink remembers; and each shared value buffer's refcount equals
-    // the number of stored entries referencing it, so §4.3 sharing can
-    // neither leak a buffer nor free one early. Throws InvariantError.
+    // interval registered in any updater map names a live updater group;
+    // every live group is registered exactly once, over its source range,
+    // in the table that owns that range, under the index key its sink
+    // files it by, with its bindings sorted and unique; and each shared
+    // value buffer's refcount equals the number of stored entries
+    // referencing it, so §4.3 sharing can neither leak a buffer nor free
+    // one early. Throws InvariantError.
     // Checked-build mode (-DPEQUOD_VALIDATE=ON) runs this automatically
     // after every invalidation cascade.
     PQ_COLDPATH void verify() const;
@@ -188,8 +190,14 @@ class Server {
     size_t table_count() const {
         return tables_.size();
     }
+    // Live updater bindings: one per (source range, sink binding) pair
+    // that keeps materialized output fresh.
     size_t updater_count() const {
-        return updaters_.size();
+        return live_bindings_;
+    }
+    // Live updater groups: one per registered source range.
+    size_t updater_group_count() const {
+        return live_groups_;
     }
     uint64_t eager_update_count() const {
         return stat_eager_updates_;
@@ -206,6 +214,14 @@ class Server {
         return stat_source_rows_;
     }
 
+    // Test-only corruption hooks (validation_tests): each breaks one
+    // updater-group invariant so the suite can prove verify() catches
+    // it, and returns false when no group can be corrupted that way.
+    // Swap the first two bindings of a group that has two.
+    bool unsort_bindings_for_test();
+    // Drop a group's interval but keep the group in its sink's index.
+    bool orphan_group_for_test();
+
   private:
     using TableMap = std::map<std::string, Table, std::less<>>;
     using ScanRef = FnRef<void(const std::string&, const ValuePtr&)>;
@@ -214,36 +230,13 @@ class Server {
     // the sink write can share the source's value buffer (§4.3).
     using EmitRef = FnRef<void(Str, const Entry&)>;
 
-    // Write-path hint: the owning table from the previous write plus the
-    // in-table position hint, letting an eager append skip both the
-    // server-level table routing and most of the tree descent.
-    struct WriteHint {
-        Table* table = nullptr;
-        Store::Hint store;
-    };
-
-    // One registered maintenance obligation: "source `source_index` of
-    // the join materializing into `sink_table`, with these slots already
-    // bound, feeds materialized output". The bindings are owned by
-    // `bound`; `bound_view` is the pre-sliced SlotSet over that storage,
-    // built once the Updater has its final heap address (OwnedSlots SSO
-    // bytes move with the object) and copied trivially per stab. Stored
-    // behind unique_ptr so the view and the output hint survive vector
-    // growth.
-    struct Updater {
-        Table* sink_table;
-        int source_index;
-        OwnedSlots bound;
-        SlotSet bound_view;
-        WriteHint out;
-    };
-
     // Estimated per-Table bookkeeping beyond its store's own accounting:
     // the directory node plus the Table object itself.
     static constexpr size_t kTableDirOverhead = 48 + sizeof(Table);
 
-    static std::string updater_dedup_key(int source_index,
-                                         const SlotSet& ss);
+    // A group's key in its sink's index: the source index byte, then
+    // the group's packed bindings.
+    static void group_key(int source_index, Str packed, KeyBuf& out);
     Table& table_for(Str key);
     const Table& table_for(Str key) const;
     size_t invalidate_table(Table& t, Str lo, Str hi);
@@ -270,7 +263,10 @@ class Server {
     PQ_COLDPATH void execute(Table& sink_table, int source_index,
                              const SlotSet& ss, bool install_updaters,
                              const EmitRef& emit);
-    void apply_update(Updater& u, Str key, const Entry& stored,
+    PQ_COLDPATH void install_updater(Table& sink_table, int source_index,
+                                     const SlotSet& ss,
+                                     const KeyRange& range);
+    void apply_update(UpdaterGroup& g, Str key, const Entry& stored,
                       bool inserted);
     void pull_scan(Table& sink_table, Str lo, Str hi, const ScanRef& f);
 
@@ -284,7 +280,6 @@ class Server {
     Table root_;       // keys under no routed prefix
     TableMap tables_;  // by prefix; prefixes never nest, so the directory
                        // is also the block order for merged scans
-    std::vector<std::unique_ptr<Updater>> updaters_;
     RemoteStore* remote_ = nullptr;  // null: rows live in the tables' stores
     SourceObserver observer_;
     WriteObserver write_observer_;
@@ -292,6 +287,8 @@ class Server {
     uint64_t stat_materializations_ = 0;
     uint64_t stat_source_rows_ = 0;
     uint64_t stat_invalidations_ = 0;
+    size_t live_groups_ = 0;
+    size_t live_bindings_ = 0;
 #if PEQUOD_VALIDATE
     std::thread::id owner_;
     bool owner_bound_ = false;

@@ -1,19 +1,20 @@
 // Per-table engine state (DESIGN.md §7). The server partitions the key
 // space by table prefix; each Table owns its tree(s) (a Store, whose
 // subtable layout handles the within-table grouping of §4.1), the
-// interval map of updaters registered over *this table's* source ranges,
-// and — when a join materializes into it — the join itself plus its
-// valid-range bookkeeping. Routing every write through the owning table
-// and stabbing that table's updater map is what lets a join consume
-// another join's sink: derived writes trigger downstream maintenance
-// exactly like client puts.
+// interval map of updater groups registered over *this table's* source
+// ranges, and — when a join materializes into it — the join itself, its
+// updater groups and its valid-range bookkeeping. Routing every write
+// through the owning table and stabbing that table's updater map is what
+// lets a join consume another join's sink: derived writes trigger
+// downstream maintenance exactly like client puts.
 #ifndef PEQUOD_CORE_TABLE_HH
 #define PEQUOD_CORE_TABLE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -25,6 +26,78 @@
 
 namespace pequod {
 
+class Table;
+
+// Write-path hint: the owning table from the previous write plus the
+// in-table position hint, letting an eager append skip both the
+// server-level table routing and most of the tree descent.
+struct WriteHint {
+    Table* table = nullptr;
+    Store::Hint store;
+};
+
+// One maintenance obligation inside an updater group: the bound slots
+// the group's source pattern does not use (the follower, in a timeline
+// join), packed as OwnedSlots packs them into the group's arena, plus
+// where this binding's previous output landed (§4.2). Trivially
+// copyable, so inserting into the sorted array is a memmove.
+struct UpdaterBinding {
+    // The packed bytes' first eight, big-endian and zero-padded: ordering
+    // by (order, bytes) is ordering by the bytes, and most comparisons
+    // never leave the array.
+    uint64_t order = 0;
+    uint32_t off = 0;  // the packed slots are arena[off, off + len)
+    uint32_t len = 0;
+    WriteHint out;
+};
+
+// Every maintenance obligation of one join source over one source range
+// (DESIGN.md §3): "source `source_index` of the join materializing into
+// `sink_table`, with the pattern's slots bound to `bound`, feeds these
+// bindings' output". The range derives from `bound`, so one interval-map
+// entry serves every binding, and a write stabs and re-matches once per
+// group. Groups live in their sink's index, whose nodes never move; the
+// interval maps point at them.
+struct UpdaterGroup {
+    Table* sink_table = nullptr;
+    int source_index = 0;
+    OwnedSlots bound;
+    // Every binding's packed slots. Append-only: a binding leaves only
+    // with its whole group.
+    std::string arena;
+    // Sorted by their packed slots, unique, never empty.
+    std::vector<UpdaterBinding> bindings;
+    // Bumped by every binding insert, so a stab loop notices an install
+    // that re-entered it (DESIGN.md §3).
+    uint64_t version = 0;
+
+    Str slots(const UpdaterBinding& b) const {
+        return Str(arena.data() + b.off, b.len);
+    }
+
+    static uint64_t order_of(Str packed) {
+        uint64_t order = 0;
+        for (size_t i = 0; i < 8; ++i)
+            order = (order << 8)
+                | (i < packed.size() ? static_cast<unsigned char>(packed[i])
+                                     : 0u);
+        return order;
+    }
+
+    // Index of the first binding whose packed slots are not below
+    // `packed`.
+    size_t lower_bound(Str packed) const {
+        uint64_t order = order_of(packed);
+        auto it = std::lower_bound(
+            bindings.begin(), bindings.end(), packed,
+            [this, order](const UpdaterBinding& b, Str x) {
+                return b.order < order
+                    || (b.order == order && slots(b) < x);
+            });
+        return static_cast<size_t>(it - bindings.begin());
+    }
+};
+
 class Table {
   public:
     // State of the join whose sink this table is (at most one; a second
@@ -34,10 +107,12 @@ class Table {
         // Materialized sink ranges: scans inside them are served straight
         // from the store.
         RangeSet valid;
-        // Serialized (source index, bindings) of every installed updater,
-        // so overlapping materializations (e.g. a whole-table scan after
-        // per-user scans) cannot register duplicate maintenance work.
-        std::unordered_set<std::string, StrHash, StrEqual> registered;
+        // This join's updater groups, keyed by the source index byte
+        // followed by the group's packed bindings, so overlapping
+        // materializations (a whole-table scan after per-user scans, say)
+        // find the group and binding already installed.
+        std::unordered_map<std::string, UpdaterGroup, StrHash, StrEqual>
+            groups;
     };
 
     Table(std::string prefix, bool enable_subtables)
@@ -90,21 +165,21 @@ class Table {
         return erased;
     }
 
-    // Updaters whose registered source range lies in this table, keyed by
-    // index into the server's updater vector. Only puts routed to this
-    // table can affect those ranges, so the per-table map keeps the stab
-    // for a sink-table write free unless a chained join actually reads it.
-    IntervalMap<uint32_t>& updaters() {
+    // Updater groups whose source range lies in this table, one interval
+    // per group. Only puts routed to this table can affect those ranges,
+    // so the per-table map keeps the stab for a sink-table write free
+    // unless a chained join actually reads it.
+    IntervalMap<UpdaterGroup*>& updaters() {
         return updaters_;
     }
-    const IntervalMap<uint32_t>& updaters() const {
+    const IntervalMap<UpdaterGroup*>& updaters() const {
         return updaters_;
     }
 
     // Reused stab scratch. Safe to keep per-table: a write only re-enters
     // the write path through a *downstream* table, and join cycles are
     // rejected, so one table's scratch is never reused reentrantly.
-    std::vector<uint32_t>& stab_scratch() {
+    std::vector<UpdaterGroup*>& stab_scratch() {
         return stab_scratch_;
     }
 
@@ -146,8 +221,8 @@ class Table {
     std::string prefix_hi_;
     Store store_;
     std::unique_ptr<Sink> sink_;
-    IntervalMap<uint32_t> updaters_;
-    std::vector<uint32_t> stab_scratch_;
+    IntervalMap<UpdaterGroup*> updaters_;
+    std::vector<UpdaterGroup*> stab_scratch_;
 };
 
 }  // namespace pequod

@@ -70,57 +70,84 @@ class SlotSet {
 
   private:
     // SlotSet is a transient view; the bytes live in the stabbed key or
-    // an OwnedSlots (see Updater::bound). pqlint: allow(str-member)
+    // an OwnedSlots (see UpdaterGroup). pqlint: allow(str-member)
     std::array<Str, kMaxSlots> values_;
     unsigned mask_ = 0;
 };
 
 // Owned backing bytes for slot bindings that must outlive the key they
-// were matched from — an installed updater keeps its bound slots here.
-// view() re-slices the owned storage into a SlotSet without allocating.
+// were matched from — an updater group keeps its bindings here. The
+// bindings are packed into one string: a mask byte, then each bound
+// slot's length (a varint) and bytes, in slot order. Equal bindings pack
+// to equal bytes, so packed() is also a binding's identity and sort key,
+// and a one-slot binding such as a user id fits std::string's inline
+// buffer. view() and unpack() re-slice the packed bytes without
+// allocating.
 class OwnedSlots {
   public:
-    OwnedSlots() = default;
-    explicit OwnedSlots(const SlotSet& ss) {
-        assign(ss);
+    static constexpr unsigned kAllSlots = (1u << kMaxSlots) - 1;
+
+    // Keep the slots of `ss` named in `mask`.
+    void assign(const SlotSet& ss, unsigned mask = kAllSlots) {
+        KeyBuf buf;
+        pack(ss, mask, buf);
+        packed_.assign(buf.data(), buf.size());
     }
 
-    void assign(const SlotSet& ss) {
-        storage_.clear();
-        mask_ = ss.mask();
+    // Append the packed form of the slots of `ss` named in `mask`.
+    PQ_NOALLOC static void pack(const SlotSet& ss, unsigned mask,
+                                KeyBuf& out) {
+        mask &= ss.mask();
+        out.push_back(static_cast<char>(mask));
         for (int slot = 0; slot < kMaxSlots; ++slot) {
-            if (!ss.has(slot))
+            if (!((mask >> slot) & 1))
                 continue;
             Str v = ss[slot];
-            spans_[static_cast<size_t>(slot)] = {
-                static_cast<uint32_t>(storage_.size()),
-                static_cast<uint32_t>(v.size())};
-            storage_.append(v.data(), v.size());
+            size_t n = v.size();
+            for (; n >= 0x80; n >>= 7)
+                out.push_back(static_cast<char>((n & 0x7f) | 0x80));
+            out.push_back(static_cast<char>(n));
+            out.append(v);
+        }
+    }
+
+    // Bind every slot packed in `packed` into `ss`, as slices of
+    // `packed`.
+    PQ_NOALLOC static void unpack(Str packed, SlotSet& ss) {
+        if (packed.empty())
+            return;
+        unsigned mask = static_cast<unsigned char>(packed[0]);
+        size_t pos = 1;
+        for (int slot = 0; slot < kMaxSlots; ++slot) {
+            if (!((mask >> slot) & 1))
+                continue;
+            size_t n = 0;
+            for (int shift = 0;; shift += 7) {
+                unsigned char b = static_cast<unsigned char>(packed[pos++]);
+                n |= static_cast<size_t>(b & 0x7f) << shift;
+                if (!(b & 0x80))
+                    break;
+            }
+            ss.bind(slot, Str(packed.data() + pos, n));
+            pos += n;
         }
     }
 
     SlotSet view() const {
         SlotSet out;
-        for (int slot = 0; slot < kMaxSlots; ++slot)
-            if ((mask_ >> slot) & 1) {
-                const Span& sp = spans_[static_cast<size_t>(slot)];
-                out.bind(slot, Str(storage_.data() + sp.off, sp.len));
-            }
+        unpack(packed_, out);
         return out;
     }
 
     unsigned mask() const {
-        return mask_;
+        return packed_.empty() ? 0 : static_cast<unsigned char>(packed_[0]);
+    }
+    Str packed() const {
+        return packed_;
     }
 
   private:
-    struct Span {
-        uint32_t off = 0;
-        uint32_t len = 0;
-    };
-    std::string storage_;
-    std::array<Span, kMaxSlots> spans_;
-    unsigned mask_ = 0;
+    std::string packed_;
 };
 
 struct KeyRange {

@@ -219,14 +219,27 @@ void ShardedServer::apply_frame(int s, Frame&& frame) {
     net::Message m;
     while (net::decode_message(frame.buf, m)) {
         ++st.stats.messages;
-        apply_message(s, frame.from, std::move(m));
+        if (frame.from < 0)
+            apply_message(s, frame.from, std::move(m));
+        else
+            st.feed.emplace_back(frame.from, std::move(m));
     }
+    drain_feed(s);
     // Group commit at the frame boundary (§13): one flush covers every
     // put the frame carried, and it lands before the frame's staged
     // completions are released — a completion the client can observe
     // names a put that is already durable.
     if (st.persist)
         st.persist->flush();
+}
+
+void ShardedServer::drain_feed(int s) {
+    ShardState& st = *shards_[static_cast<size_t>(s)];
+    while (!st.feed.empty()) {
+        std::pair<int, net::Message> next = std::move(st.feed.front());
+        st.feed.pop_front();
+        apply_message(s, next.first, std::move(next.second));
+    }
 }
 
 void ShardedServer::apply_message(int s, int from, net::Message&& m) {
@@ -411,9 +424,14 @@ void ShardedServer::subscribe_to(int s, int owner, Str lo, Str hi) {
     // materialization); protocol frames — peers' subscribes, notifies,
     // our backfill — are applied immediately. Notify/backfill puts
     // re-enter the engine mid-scan, which the source-observer contract
-    // explicitly permits.
+    // explicitly permits. The rest of a peer frame whose message led
+    // here goes first: it arrived before anything still in the mailbox.
     st.waiting_nonces.insert(sub.epoch);
     while (st.waiting_nonces.count(sub.epoch) != 0) {
+        if (!st.feed.empty()) {
+            drain_feed(s);
+            continue;
+        }
         Frame in;
         RoleGuard consumer(st.mailbox.consumer_role());
         if (!st.mailbox.try_pop(in)) {

@@ -74,7 +74,14 @@ struct ShardConfig {
     size_t notify_batch_items = 64;
     // ';'-separated join specs installed on every shard's Server.
     std::string joins;
-    ServerConfig server;
+    // §4.3 value sharing is on: a notify item lands as a replica entry,
+    // and the subscriber's fan-out shares that entry's buffer instead of
+    // copying the bytes into every timeline row.
+    ServerConfig server = [] {
+        ServerConfig c;
+        c.enable_value_sharing = true;
+        return c;
+    }();
     // Record each applied client put per shard, in application order,
     // for the sequential-replay oracle in the stress tests.
     bool log_applied = false;
@@ -295,6 +302,11 @@ class ShardedServer {
         // mode): client work deferred until the materialization that
         // needed the backfill finishes.
         std::deque<Frame> deferred;
+        // Peer messages decoded but not yet applied, in arrival order.
+        // Applying one can block in a nested subscribe wait, which must
+        // apply the rest of its frame before any later frame from the
+        // same peer, or that peer's notifies would apply out of order.
+        std::deque<std::pair<int, net::Message>> feed;
 
         Staged staged;
         std::vector<std::pair<std::string, std::string>> applied_puts;
@@ -322,6 +334,8 @@ class ShardedServer {
     PQ_WORKER_CONTEXT void worker_loop(int s);
     // Apply one mailbox frame's batch, then group-commit its WAL records.
     PQ_WORKER_CONTEXT void apply_frame(int s, Frame&& frame);
+    // Apply every queued peer message, oldest first.
+    PQ_WORKER_CONTEXT void drain_feed(int s);
     PQ_WORKER_CONTEXT void apply_message(int s, int from, net::Message&& m);
     PQ_WORKER_CONTEXT void handle_client_put(int s, int client,
                                              net::Message&& m);

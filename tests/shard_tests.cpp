@@ -576,6 +576,107 @@ TEST(ShardedServer, InterleavedFeedsStayInStepThreaded) {
     run_interleaved_feeds(true);
 }
 
+// §4.3 sharing in the shard tier: a notify item lands on the
+// subscriber shard as a replica entry, and that shard's fan-out shares
+// the replica's buffer instead of copying it into each timeline row.
+void run_cross_shard_value_sharing(bool threaded) {
+    auto user = [](int u) {
+        return "u" + pad_number(static_cast<uint64_t>(u), 3);
+    };
+    ShardConfig cfg;
+    cfg.shards = 2;
+    cfg.joins = kTimelineJoin;
+    ASSERT_TRUE(cfg.server.enable_value_sharing);
+    ShardedServer ss(cfg);
+    ShardClient& client = ss.make_client();
+    Server oracle;
+    oracle.add_join(kTimelineJoin);
+
+    // A poster, one follower whose timeline lives on the shard that
+    // owns the poster's posts, and two whose timelines live on the other.
+    const std::string poster = user(0);
+    int home = shard_of("p|" + poster + "|", 2);
+    std::vector<std::string> followers;
+    for (int u = 1; followers.size() < 3 && u < 100; ++u) {
+        bool local = shard_of("t|" + user(u) + "|", 2) == home;
+        if (local == followers.empty())
+            followers.push_back(user(u));
+    }
+    ASSERT_EQ(followers.size(), 3u);
+    int remote = 1 - home;
+    auto put = [&](const std::string& k, const std::string& v) {
+        client.submit_put(k, v);
+        oracle.put(k, v);
+    };
+    auto timeline_on = [&](const std::string& u) {
+        std::string lo = "t|" + u + "|";
+        std::string hi = prefix_successor(lo);
+        client.submit_scan(lo, hi);
+        client.flush();
+        if (!threaded)
+            settle(ss);
+        Items got;
+        while (got.empty()) {
+            got = drain_replies(client);
+            if (got.empty())
+                std::this_thread::yield();
+        }
+        Items want;
+        oracle.scan(lo, hi, [&](const std::string& k, const ValuePtr& v) {
+            want.emplace_back(k, *v);
+        });
+        EXPECT_EQ(got, want) << "timeline of " << u;
+        return got;
+    };
+    auto quiesce = [&] {
+        client.flush();
+        if (threaded)
+            ss.wait_idle();
+        else
+            settle(ss);
+    };
+
+    const std::string body(100, 'x');
+    for (const std::string& f : followers)
+        put("s|" + f + "|" + poster, "1");
+    put("p|" + poster + "|0000000001", body);
+    if (threaded)
+        ss.start();
+    quiesce();
+    for (const std::string& f : followers)
+        timeline_on(f);
+    // A live post reaches the subscriber shard as a notify item.
+    put("p|" + poster + "|0000000002", body + " live");
+    quiesce();
+    for (const std::string& f : followers)
+        timeline_on(f);
+    // Overwriting the post shows the new bytes on both shards.
+    put("p|" + poster + "|0000000002", "edited");
+    quiesce();
+    for (const std::string& f : followers) {
+        Items got = timeline_on(f);
+        ASSERT_EQ(got.size(), 2u);
+        EXPECT_EQ(got.back().second, "edited") << "timeline of " << f;
+    }
+    if (threaded)
+        ss.stop();
+    EXPECT_GT(ss.stats(remote).notify_items_applied, 0u);
+    // The two remote timelines share the replica's buffers: one shared
+    // buffer per post on the subscriber shard.
+    EXPECT_GT(ss.server(remote).memory_stats().shared_value_count, 0u);
+    EXPECT_GT(ss.server(home).memory_stats().shared_value_count, 0u);
+    for (int s = 0; s != 2; ++s)
+        ss.server(s).verify();
+}
+
+TEST(ShardedServer, CrossShardFanOutSharesValuesInline) {
+    run_cross_shard_value_sharing(false);
+}
+
+TEST(ShardedServer, CrossShardFanOutSharesValuesThreaded) {
+    run_cross_shard_value_sharing(true);
+}
+
 TEST(ShardedServer, AppliedPutLogFollowsApplicationOrder) {
     ShardConfig cfg;
     cfg.shards = 2;
@@ -772,6 +873,123 @@ TEST(ShardedServer, DurablePostHiddenUntilOwnerFrameFlushes) {
     EXPECT_TRUE(g.wait_completion());
     EXPECT_TRUE(g.wait_post_visible());
     EXPECT_FALSE(g.capped());
+}
+
+// A peer frame carrying several notifies, whose first one makes the
+// subscriber subscribe a new range and block on the backfill: the rest
+// of that frame must apply before a later frame from the same peer,
+// which is already waiting in the mailbox, or the later notify arrives
+// out of step (a std::logic_error on the worker thread). B is parked
+// inside an earlier notify until A has shipped both frames.
+TEST(ShardedServer, NestedSubscribeKeepsPeerNotifiesInOrder) {
+    constexpr int kA = 0;
+    constexpr int kB = 1;
+    auto user = [](int u) {
+        return "u" + pad_number(static_cast<uint64_t>(u), 3);
+    };
+    std::string follower, poster, other;
+    for (int u = 0; other.empty(); ++u) {
+        std::string n = user(u);
+        if (follower.empty() && shard_of("s|" + n + "|", 2) == kA
+            && shard_of("t|" + n + "|", 2) == kB)
+            follower = n;
+        else if (shard_of("p|" + n + "|", 2) == kA)
+            (poster.empty() ? poster : other) = n;
+    }
+    auto post = [](const std::string& p, uint64_t ts) {
+        return "p|" + p + "|" + pad_number(ts, 10);
+    };
+    TempDir td;
+    ShardConfig cfg;
+    cfg.shards = 2;
+    cfg.joins = kTimelineJoin;
+    cfg.notify_batch_items = 1;  // one notify message per put
+    cfg.persist.dir = td.sub("shards");  // staged notifies, one frame each
+    ShardedServer ss(cfg);
+    ShardClient& client = ss.make_client();
+    Server oracle;
+    oracle.add_join(kTimelineJoin);
+    auto load = [&](const std::string& k, const std::string& v) {
+        ss.load(k, v);
+        oracle.put(k, v);
+    };
+    load("s|" + follower + "|" + poster, "1");
+    load(post(poster, 1), "p1");
+    load(post(other, 2), "o2");
+
+    std::atomic<bool> gate{false}, parked{false};
+    const std::string park_key = post(poster, 3);
+    ss.server(kB).set_write_observer([&](Str key, Str) {
+        if (key != Str(park_key))
+            return;
+        parked.store(true, std::memory_order_release);
+        auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (!gate.load(std::memory_order_acquire)
+               && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+    });
+    ss.start();
+    auto wait_for = [](auto pred) {
+        auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (!pred()) {
+            if (std::chrono::steady_clock::now() > deadline)
+                return false;
+            std::this_thread::yield();
+        }
+        return true;
+    };
+    size_t done = 0;
+    auto wait_done = [&](size_t n) {
+        return wait_for([&] {
+            Completion c;
+            while (client.poll_completion(c))
+                ++done;
+            return done >= n;
+        });
+    };
+    auto timeline = [&] {
+        std::string lo = "t|" + follower + "|";
+        client.submit_scan(lo, prefix_successor(lo));
+        client.flush();
+        Frame f;
+        EXPECT_TRUE(wait_for([&] { return client.poll_reply(f); }));
+        Items items;
+        net::Message m;
+        while (net::decode_message(f.buf, m))
+            for (auto& kv : m.items)
+                items.push_back(std::move(kv));
+        return items;
+    };
+    auto put = [&](const std::string& k, const std::string& v) {
+        client.submit_put(k, v);
+        oracle.put(k, v);
+    };
+    EXPECT_EQ(timeline().size(), 1u);  // B now replicates s| and p|poster|
+
+    put(park_key, "p3");  // B parks applying this notify
+    client.flush();
+    ASSERT_TRUE(wait_for([&] { return parked.load(); }));
+    put("s|" + follower + "|" + other, "1");  // B must subscribe p|other|
+    put(post(poster, 4), "p4");               // ...same frame as the follow
+    client.flush();
+    put(post(poster, 5), "p5");  // a later frame
+    client.flush();
+    ASSERT_TRUE(wait_done(4)) << "shard A never acknowledged its puts";
+    gate.store(true, std::memory_order_release);
+    ss.wait_idle();
+
+    Items want;
+    std::string lo = "t|" + follower + "|";
+    oracle.scan(lo, prefix_successor(lo),
+                [&](const std::string& k, const ValuePtr& v) {
+                    want.emplace_back(k, *v);
+                });
+    EXPECT_EQ(want.size(), 5u);
+    EXPECT_EQ(timeline(), want);
+    ss.stop();
+    EXPECT_EQ(ss.subscriber(kB).next_seq(kA), ss.publisher(kA).next_seq(kB));
 }
 
 }  // namespace

@@ -994,6 +994,167 @@ TEST(Server, InvalidateUnmaterializedRangeIsHarmless) {
     EXPECT_EQ(timeline(server, "ann").size(), 1u);
 }
 
+// ---- updater groups ---------------------------------------------------------
+
+std::string follower(int f) {
+    return "f" + pad_number(static_cast<uint64_t>(f), 3);
+}
+
+// `followers` users who each follow every poster in `posters`, with
+// every timeline materialized.
+void follow_and_login(Server& server, int followers,
+                      const std::vector<std::string>& posters) {
+    for (const std::string& p : posters)
+        server.put("p|" + p + "|0000000001", p + " one");
+    for (int f = 0; f < followers; ++f) {
+        for (const std::string& p : posters)
+            server.put("s|" + follower(f) + "|" + p, "1");
+        timeline(server, follower(f));
+    }
+}
+
+TEST(UpdaterGroups, FollowersOfOnePosterShareOneGroup) {
+    const int n = 12;
+    Server server;
+    server.add_join(kTimelineJoin);
+    follow_and_login(server, n, {"bob"});
+    // One group per follower's subscription range, plus one for bob's
+    // posts holding all n follower bindings.
+    EXPECT_EQ(server.updater_group_count(), static_cast<size_t>(n + 1));
+    EXPECT_EQ(server.updater_count(), static_cast<size_t>(2 * n));
+    // A second poster adds one group, not one per follower.
+    for (int f = 0; f < n; ++f)
+        server.put("s|" + follower(f) + "|eve", "1");
+    EXPECT_EQ(server.updater_group_count(), static_cast<size_t>(n + 2));
+    EXPECT_EQ(server.updater_count(), static_cast<size_t>(3 * n));
+    // A post fans out to exactly n timelines.
+    uint64_t eager_before = server.eager_update_count();
+    server.put("p|bob|0000000002", "bob two");
+    EXPECT_EQ(server.eager_update_count(), eager_before + n);
+    for (int f = 0; f < n; ++f)
+        EXPECT_EQ(timeline(server, follower(f)).size(), 2u);
+    server.verify();
+}
+
+TEST(UpdaterGroups, RepeatsAddNoDuplicateBinding) {
+    const int n = 5;
+    Server server;
+    server.add_join(kTimelineJoin);
+    follow_and_login(server, n, {"bob", "eve"});
+    size_t groups = server.updater_group_count();
+    size_t bindings = server.updater_count();
+    // A repeated follow and repeated logins change nothing.
+    for (int f = 0; f < n; ++f) {
+        server.put("s|" + follower(f) + "|bob", "1");
+        timeline(server, follower(f));
+    }
+    EXPECT_EQ(server.updater_group_count(), groups);
+    EXPECT_EQ(server.updater_count(), bindings);
+    // A whole-table scan adds only its own unbound subscription group;
+    // the per-poster bindings it re-derives are already installed.
+    size_t rows = 0;
+    server.scan("t|", "t}",
+                [&rows](const std::string&, const ValuePtr&) { ++rows; });
+    EXPECT_EQ(rows, static_cast<size_t>(2 * n));
+    EXPECT_EQ(server.updater_group_count(), groups + 1);
+    EXPECT_EQ(server.updater_count(), bindings + 1);
+    uint64_t eager_before = server.eager_update_count();
+    server.put("p|eve|0000000002", "eve two");
+    EXPECT_EQ(server.eager_update_count(), eager_before + n);
+    server.verify();
+}
+
+TEST(UpdaterGroups, InvalidatingPosterRangeTearsDownEveryBinding) {
+    const int n = 7;
+    Server server;
+    server.add_join(kTimelineJoin);
+    follow_and_login(server, n, {"bob", "eve"});
+    size_t groups = server.updater_group_count();
+    size_t bindings = server.updater_count();
+    EXPECT_EQ(server.invalidate_range("p|bob|", "p|bob}"),
+              static_cast<size_t>(n));
+    EXPECT_EQ(server.updater_group_count(), groups - 1);
+    EXPECT_EQ(server.updater_count(), bindings - n);
+    server.verify();
+    // Nothing stale is served, and eve's group still fans out.
+    uint64_t eager_before = server.eager_update_count();
+    server.put("p|eve|0000000002", "eve two");
+    EXPECT_EQ(server.eager_update_count(), eager_before + n);
+    for (int f = 0; f < n; ++f)
+        EXPECT_EQ(timeline(server, follower(f)).size(), 2u);
+    // Re-materializing reinstalled bob's group with every binding.
+    EXPECT_EQ(server.updater_group_count(), groups);
+    EXPECT_EQ(server.updater_count(), bindings);
+}
+
+TEST(UpdaterGroups, ReentrantInstallResumesAfterTheRunningBinding) {
+    // z| reads t|: a new t|dan| row makes z look up dan's mirror cat and
+    // copy cat's whole timeline, which materializes t|cat| — installing
+    // cat into bob's group while bob's post is still fanning out through
+    // it. cat sorts before dan, so the running binding moves up one slot.
+    Server server;
+    server.add_join(kTimelineJoin);
+    server.add_join("z|<a>|<b>|<x:10>|<q> = check t|<a>|<r> "
+                    "check m|<a>|<b> copy t|<b>|<x:10>|<q>");
+    server.put("s|dan|bob", "1");
+    server.put("s|cat|bob", "1");
+    server.put("m|dan|cat", "1");
+    EXPECT_TRUE(timeline(server, "dan").empty());
+    std::vector<std::string> z;
+    auto scan_z = [&] {
+        z.clear();
+        server.scan("z|dan|", "z|dan}",
+                    [&z](const std::string& k, const ValuePtr&) {
+                        z.push_back(k);
+                    });
+    };
+    scan_z();
+    EXPECT_TRUE(z.empty());
+    const size_t bindings = server.updater_count();
+    uint64_t eager_before = server.eager_update_count();
+    server.put("p|bob|0000000001", "one");
+    // Only dan's binding ran; cat's arrived with a scan that already saw
+    // the post, and dan's did not run twice.
+    EXPECT_EQ(server.eager_update_count(), eager_before + 1);
+    EXPECT_GT(server.updater_count(), bindings);
+    EXPECT_EQ(timeline(server, "cat"),
+              (std::vector<std::string>{"t|cat|0000000001|bob"}));
+    scan_z();
+    EXPECT_EQ(z, (std::vector<std::string>{"z|dan|cat|0000000001|bob"}));
+    server.verify();
+}
+
+TEST(UpdaterGroups, CountsDropOnInvalidationAndStayBoundedUnderChurn) {
+    const int n = 4;
+    Server server;
+    server.add_join(kTimelineJoin);
+    follow_and_login(server, n, {"bob", "eve", "amy"});
+    const size_t groups = server.updater_group_count();
+    const size_t bindings = server.updater_count();
+    for (int cycle = 0; cycle < 100; ++cycle) {
+        // Tear down one follower's subscription group (cascading to its
+        // timeline) and one poster's group.
+        server.invalidate_range("s|" + follower(cycle % n) + "|",
+                                "s|" + follower(cycle % n) + "}");
+        server.invalidate_range("p|eve|", "p|eve}");
+        ASSERT_LT(server.updater_group_count(), groups);
+        ASSERT_LT(server.updater_count(), bindings);
+        // Invalidation dropped the cached copies of the follower's
+        // subscriptions and eve's posts; re-deliver them (as a
+        // resubscribe's backfill would) and log everyone in.
+        for (const char* p : {"bob", "eve", "amy"})
+            server.put("s|" + follower(cycle % n) + "|" + p, "1");
+        server.put("p|eve|0000000001", "eve one");
+        for (int f = 0; f < n; ++f)
+            ASSERT_EQ(timeline(server, follower(f)).size(), 3u);
+        // Storage is exactly the live groups: counts return to their
+        // starting values instead of growing with every cycle.
+        ASSERT_EQ(server.updater_group_count(), groups);
+        ASSERT_EQ(server.updater_count(), bindings);
+    }
+    server.verify();
+}
+
 TEST(Server, ScanSpanningPullJoinThrows) {
     Server server;
     server.add_join(

@@ -86,6 +86,36 @@ TEST(Corruption, IntervalMapGhostNodeCountIsCaught) {
     EXPECT_THROW(map.verify(), InvariantError);
 }
 
+// Three followers of one poster: the poster's updater group holds
+// three bindings.
+void populate_groups(Server& server) {
+    server.add_join(
+        "t|<u>|<ts:10>|<p> = check s|<u>|<p> copy p|<p>|<ts:10>");
+    server.put("p|bob|0000000001", "one");
+    for (const char* u : {"ann", "cat", "dan"}) {
+        server.put(std::string("s|") + u + "|bob", "1");
+        std::string lo = std::string("t|") + u + "|";
+        server.scan(lo, prefix_successor(lo),
+                    [](const std::string&, const ValuePtr&) {});
+    }
+}
+
+TEST(Corruption, UpdaterBindingOrderBreakIsCaught) {
+    Server server;
+    populate_groups(server);
+    server.verify();  // clean before corruption
+    ASSERT_TRUE(server.unsort_bindings_for_test());
+    EXPECT_THROW(server.verify(), InvariantError);
+}
+
+TEST(Corruption, StaleUpdaterGroupIsCaught) {
+    Server server;
+    populate_groups(server);
+    server.verify();
+    ASSERT_TRUE(server.orphan_group_for_test());
+    EXPECT_THROW(server.verify(), InvariantError);
+}
+
 TEST(Corruption, RangeSetInvertedRangeIsCaught) {
     RangeSet rs;
     rs.add("b", "d");
