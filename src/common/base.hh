@@ -19,7 +19,7 @@ inline std::string pad_number(uint64_t x, int width) {
     char buf[24];
     int n = std::snprintf(buf, sizeof buf, "%0*llu", width,
                           static_cast<unsigned long long>(x));
-    // Returns owned bytes by contract. pqlint: allow(hot-string)
+    // Returns owned bytes by contract. pqcheck: allow(hot-string)
     return std::string(buf, static_cast<size_t>(n));
 }
 

@@ -78,11 +78,6 @@ class NodePool {
         free_[c] = p;
     }
 
-    // Slab bytes held (excludes pass-through allocations).
-    size_t slab_bytes() const {
-        return slabs_.size() * kSlabSize;
-    }
-
     // Walk every free list, checking for cycles (the footprint a double
     // free leaves behind): no list can hold more blocks than the slabs
     // ever carved. In validate builds, also reconcile the lists against

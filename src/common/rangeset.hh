@@ -70,11 +70,11 @@ class RangeSet {
         while (it != ranges_.end() && (hi.empty() || Str(it->first) < hi)) {
             if (Str(it->first) < lo)
                 // The set owns its bounds; a trimmed range must copy the
-                // new endpoint. pqlint: allow(hot-string)
+                // new endpoint. pqcheck: allow(hot-string)
                 keep.emplace_back(it->first, lo.str());
             if (!hi.empty()
                 && (it->second.empty() || Str(it->second) > hi))
-                keep.emplace_back(hi.str(), it->second);  // pqlint: allow(hot-string)
+                keep.emplace_back(hi.str(), it->second);  // pqcheck: allow(hot-string)
             it = ranges_.erase(it);
         }
         for (auto& kv : keep)

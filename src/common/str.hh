@@ -99,11 +99,11 @@ class Str {
     }
 
     // The one sanctioned slice-to-owned conversion; every call site in
-    // a hot-path file needs its own pqlint allow.
+    // a hot-path file needs its own pqcheck allow.
     std::string str() const {
-        return std::string(data_, len_);  // pqlint: allow(hot-string)
+        return std::string(data_, len_);  // pqcheck: allow(hot-string)
     }
-    explicit operator std::string() const {  // pqlint: allow(hot-string)
+    explicit operator std::string() const {  // pqcheck: allow(hot-string)
         return str();
     }
 
@@ -211,7 +211,7 @@ class KeyBuf {
         return len_;
     }
     // Named view(), not str(): Str::str() allocates a std::string while
-    // this returns a free slice, and pqlint's hot-string rule tells them
+    // this returns a free slice, and pqcheck's hot-string rule tells them
     // apart by spelling.
     Str view() const {
         return Str(data_, len_);

@@ -30,7 +30,7 @@ class InvariantError : public std::logic_error {
 
 [[noreturn]] PQ_COLDPATH inline void invariant_fail(
         const char* where, const std::string& detail) {
-    // Failure path: allocation cost is irrelevant. pqlint: allow(hot-string)
+    // Failure path: allocation cost is irrelevant. pqcheck: allow(hot-string)
     throw InvariantError(std::string(where) + ": " + detail);
 }
 

@@ -290,10 +290,6 @@ class ClientPequodBackend final : private RemoteStore,
 template <typename Map>
 class MapModelBackend : public Backend {
   public:
-    bool supports_erase() const override {
-        return true;
-    }
-
     void put(Str key, Str value) override {
         account_batched(key.size() + value.size());
         auto it = map_.find(key);

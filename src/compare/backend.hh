@@ -93,9 +93,6 @@ class Backend {
     virtual bool supports_scan() const {
         return true;
     }
-    virtual bool supports_erase() const {
-        return false;
-    }
     virtual bool supports_joins() const {
         return false;
     }
@@ -109,9 +106,6 @@ class Backend {
         return stats_;
     }
     double modeled_seconds() const;
-    const CostModel& cost_model() const {
-        return model_;
-    }
 
   protected:
     explicit Backend(const CostModel& model) : model_(model) {}

@@ -605,7 +605,7 @@ void Server::pull_scan(Table& sink_table, Str lo, Str hi, const ScanRef& f) {
     SlotSet ss = sink_table.sink().join.sink().derive_slot_set(lo, hi);
     auto emit = [&results](Str key, const Entry& src) {
         // Pull recomputation owns its transient result set; this is the
-        // documented non-materializing slow path. pqlint: allow(hot-string)
+        // documented non-materializing slow path. pqcheck: allow(hot-string)
         results.insert_or_assign(key.str(), src.value());
     };
     EmitRef emit_ref(emit);

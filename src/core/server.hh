@@ -187,9 +187,6 @@ class Server {
     PQ_COLDPATH void verify() const;
 
     // Introspection, mostly for tests and stats reporting.
-    size_t table_count() const {
-        return tables_.size();
-    }
     // Live updater bindings: one per (source range, sink binding) pair
     // that keeps materialized output fresh.
     size_t updater_count() const {

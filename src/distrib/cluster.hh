@@ -145,9 +145,6 @@ class BaseServer : public Node {
     const persist::RecoverResult& last_recovery() const {
         return last_recovery_;
     }
-    const persist::WalStats* wal_stats() const {
-        return persist_ ? &persist_->wal().stats() : nullptr;
-    }
 
   private:
     void handle(int from, net::Message&& m) override;
@@ -303,9 +300,6 @@ class Cluster {
     // retries pending subscriptions whose backoff expired. Call at
     // quiescence — typically right after settle().
     void tick();
-    uint64_t tick_count() const {
-        return tick_;
-    }
 
     // Fault-schedule controls for chaos tests and benches. A crashed
     // server receives nothing; restart_base loses subscription state

@@ -70,7 +70,7 @@ class SlotSet {
 
   private:
     // SlotSet is a transient view; the bytes live in the stabbed key or
-    // an OwnedSlots (see UpdaterGroup). pqlint: allow(str-member)
+    // an OwnedSlots (see UpdaterGroup). pqcheck: allow(str-member)
     std::array<Str, kMaxSlots> values_;
     unsigned mask_ = 0;
 };
@@ -188,9 +188,6 @@ class Pattern {
         return buf.view().str();
     }
 
-    bool has_slot(int slot) const {
-        return (slot_mask_ >> slot) & 1;
-    }
     unsigned slot_mask() const {
         return slot_mask_;
     }

@@ -1,5 +1,5 @@
 // The one place in the tree that touches raw file descriptors. Every
-// other directory goes through the WAL/blockstore API; pqlint's raw-io
+// other directory goes through the WAL/blockstore API; pqcheck's raw-io
 // rule enforces the boundary, so all durability reasoning (what is
 // fsynced when, what a crash can tear) concentrates here and in the two
 // classes built on top.
@@ -143,7 +143,7 @@ class File {
   private:
     File(int fd, const std::string& path, const char* op) : fd_(fd) {
         if (fd_ < 0)  // error path only: the copy prices in the throw
-            // pqlint: allow(hot-string)
+            // pqcheck: allow(hot-string)
             throw IoError(std::string(op) + " " + path, errno);
     }
 

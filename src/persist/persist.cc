@@ -128,7 +128,6 @@ bool Persistence::checkpoint(
             remove_file(path);
             return false;
         }
-        cache_stats_ = store.cache_stats();
     }
 
     uint64_t dropped = manifest_.prev_id;  // falls off the two-deep window
@@ -169,13 +168,12 @@ bool Persistence::load_checkpoint(
     // Recovery-time staging, not the write path: the copies let a
     // checkpoint that fails mid-scan be discarded without side effects.
     auto stage = [&](Str key, Str value) {
-        // pqlint: allow(hot-string)
+        // pqcheck: allow(hot-string)
         pairs.emplace_back(std::string(key.data(), key.size()),
-                           // pqlint: allow(hot-string)
+                           // pqcheck: allow(hot-string)
                            std::string(value.data(), value.size()));
     };
     bool complete = store.scan(FnRef<void(Str, Str)>(stage));
-    cache_stats_ = store.cache_stats();
     if (!complete) {
         result.corrupt_blocks += store.cache_stats().corrupt_disk;
         pairs.clear();

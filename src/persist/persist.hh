@@ -67,9 +67,6 @@ class Persistence {
     void log_put(Str key, Str value) {
         wal_.append_put(key, value);
     }
-    void log_erase(Str lo, Str hi) {
-        wal_.append_erase(lo, hi);
-    }
     // Durability barrier: everything logged before flush() survives any
     // subsequent crash. Tiers call it before acknowledging (distrib) or
     // at frame boundaries (shard).
@@ -98,12 +95,6 @@ class Persistence {
     Wal& wal() {
         return wal_;
     }
-    const BlockCacheStats& last_cache_stats() const {
-        return cache_stats_;
-    }
-    uint64_t checkpoints_taken() const {
-        return manifest_.ckpt_id;
-    }
 
   private:
     // The durable MANIFEST record: which checkpoint is current, where
@@ -130,7 +121,6 @@ class Persistence {
     PersistConfig config_;
     Wal wal_;
     Manifest manifest_;
-    BlockCacheStats cache_stats_;
 };
 
 }  // namespace persist

@@ -71,8 +71,8 @@ struct WalStats {
 struct WalRecord {
     enum Op : uint8_t { kPut = 1, kErase = 2 };
     Op op = kPut;
-    Str key;    // pqlint: allow(str-member)
-    Str value;  // pqlint: allow(str-member)
+    Str key;    // pqcheck: allow(str-member)
+    Str value;  // pqcheck: allow(str-member)
 };
 
 struct ReplayResult {
@@ -125,9 +125,6 @@ class Wal {
     // does to a batch that never reached fsync.
     void simulate_crash();
 
-    uint64_t current_segment() const {
-        return segment_;
-    }
     size_t buffered_ops() const {
         return buffered_ops_;
     }

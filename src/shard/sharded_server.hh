@@ -251,10 +251,6 @@ class ShardedServer {
         const ShardState& st = *shards_[static_cast<size_t>(s)];
         return st.persist ? &st.recovery : nullptr;
     }
-    const persist::WalStats* wal_stats(int s) const {
-        const ShardState& st = *shards_[static_cast<size_t>(s)];
-        return st.persist ? &st.persist->wal().stats() : nullptr;
-    }
 
     static int encode_client(int client_id) {
         return -1 - client_id;

@@ -49,16 +49,16 @@ Store::Subtable* Store::find_or_make_subtable(Str group) {
     // bytes; every later write hits the transparent index above instead.
     // First touch of a group allocates its directory entry; every
     // later put hits the index probe. pqcheck: allow(no-alloc)
-    auto ins = tables_.emplace(group.str(), Subtable(pool_.get()));  // pqlint: allow(hot-string)
+    auto ins = tables_.emplace(group.str(), Subtable(pool_.get()));  // pqcheck: allow(hot-string)
     Subtable* sub = &ins.first->second;
     if (ins.second) {
         // pqcheck: allow(no-alloc)
-        sub->prefix = group.str();  // pqlint: allow(hot-string)
+        sub->prefix = group.str();  // pqcheck: allow(hot-string)
         ++stats_.subtable_count;
         stats_.structure_bytes += kSubtableOverhead + 2 * group.size();
     }
     // pqcheck: allow(no-alloc)
-    table_index_.emplace(group.str(), sub);  // pqlint: allow(hot-string)
+    table_index_.emplace(group.str(), sub);  // pqcheck: allow(hot-string)
     return sub;
 }
 

@@ -225,10 +225,6 @@ class Store {
     // not be nested. Recorded (but inert) when subtables are disabled.
     void set_subtable_components(const std::string& prefix, int components);
 
-    bool subtables_enabled() const {
-        return enable_subtables_;
-    }
-
     // True when a grouping spec for exactly `prefix` has been configured
     // (whether or not subtables are enabled).
     bool has_subtable_spec(Str prefix) const {

@@ -102,7 +102,7 @@ class Publisher {
     Send send_;
     uint64_t gen_ = 1;
     // Routing state, not join maintenance, so the map lives outside
-    // Table. pqlint: allow(intervalmap-mutation)
+    // Table. pqcheck: allow(intervalmap-mutation)
     IntervalMap<int> registry_;
     std::set<std::tuple<int, std::string, std::string>, std::less<>>
         registered_;

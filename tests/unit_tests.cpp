@@ -1289,14 +1289,22 @@ TEST(Graph, GenerateAndSample) {
     EXPECT_EQ(graph.user_count(), 200u);
     EXPECT_GT(graph.edge_count(), 200u * 5);
     uint64_t edges = 0;
+    std::vector<uint32_t> in_edges(graph.user_count(), 0);
     for (uint32_t u = 0; u < graph.user_count(); ++u) {
         for (uint32_t v : graph.following(u)) {
             EXPECT_NE(v, u);
             EXPECT_LT(v, graph.user_count());
+            ++in_edges[v];
         }
         edges += graph.following(u).size();
     }
     EXPECT_EQ(edges, graph.edge_count());
+    // follower_count is the in-degree of the following lists, and the
+    // Zipf head is followed more than the tail.
+    for (uint32_t u = 0; u < graph.user_count(); ++u)
+        EXPECT_EQ(graph.follower_count(u), in_edges[u]);
+    EXPECT_GT(graph.follower_count(0),
+              graph.follower_count(graph.user_count() - 1));
     Rng rng(5);
     std::vector<uint32_t> hits(graph.user_count(), 0);
     for (int i = 0; i < 20000; ++i)

@@ -3,15 +3,15 @@
 #include <string>
 
 std::string describe(const std::string& key) {
-    return std::string("key=") + key;  // pqlint-expect: hot-string
+    return std::string("key=") + key;  // pqcheck-expect: hot-string
 }
 
 std::string head(const std::string& key) {
-    return key.substr(0, 4);  // pqlint-expect: hot-string
+    return key.substr(0, 4);  // pqcheck-expect: hot-string
 }
 
 // Error-path copy, reviewed: cost is irrelevant once we throw.
 std::string fail_message(const std::string& key) {
-    // pqlint: allow(hot-string)
+    // pqcheck: allow(hot-string)
     return std::string("bad key: ") + key;
 }

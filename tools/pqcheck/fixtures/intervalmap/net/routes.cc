@@ -8,5 +8,5 @@ class IntervalMap {
 
 class RouteCache {
   private:
-    IntervalMap<int> routes_;  // pqlint-expect: intervalmap-mutation
+    IntervalMap<int> routes_;  // pqcheck-expect: intervalmap-mutation
 };

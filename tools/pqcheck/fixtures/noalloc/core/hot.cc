@@ -28,7 +28,7 @@ struct Table {
     PQ_NOALLOC void hot_bad(int k) {
         int* scratch = new int[k];  // pqcheck-expect: no-alloc
         history_.push_back(k);      // pqcheck-expect: no-alloc
-        label_ = std::string("k");  // pqcheck-expect: no-alloc
+        label_ = std::string("k");  // pqcheck-expect: no-alloc pqcheck: allow(hot-string)
         delete[] scratch;
     }
 

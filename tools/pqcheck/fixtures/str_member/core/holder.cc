@@ -21,6 +21,6 @@ class Cursor {
     void advance();
 
   private:
-    Str here_;  // pqlint-expect: str-member
+    Str here_;  // pqcheck-expect: str-member
     int depth_ = 0;
 };

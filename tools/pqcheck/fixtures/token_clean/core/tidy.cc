@@ -1,4 +1,4 @@
-// Clean fixture: hot-path code written to the conventions; pqlint must
+// Clean fixture: hot-path code written to the conventions; pqcheck must
 // report nothing.
 #include <map>
 #include <string>

@@ -3,11 +3,11 @@
 #include <string>
 
 int measure(const std::string& s) {
-    // pqlint: allow(hot-string)  -- pqlint-expect: stale-suppression
+    // pqcheck: allow(hot-string)  -- pqcheck-expect: stale-suppression
     return static_cast<int>(s.size());
 }
 
 std::string copy_tail(const std::string& s) {
-    // Reviewed cold-path copy. pqlint: allow(hot-string)
+    // Reviewed cold-path copy. pqcheck: allow(hot-string)
     return s.substr(1);
 }

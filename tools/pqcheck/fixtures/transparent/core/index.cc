@@ -13,8 +13,8 @@ struct StrEqual {
     bool operator()(const char*, const char*) const;
 };
 
-std::map<std::string, int> opaque_index;  // pqlint-expect: transparent-comparator
+std::map<std::string, int> opaque_index;  // pqcheck-expect: transparent-comparator
 std::map<std::string, int, std::less<>> clear_index;
-std::set<std::string> opaque_names;  // pqlint-expect: transparent-comparator
-std::unordered_map<std::string, int> opaque_hash;  // pqlint-expect: transparent-comparator
+std::set<std::string> opaque_names;  // pqcheck-expect: transparent-comparator
+std::unordered_map<std::string, int> opaque_hash;  // pqcheck-expect: transparent-comparator
 std::unordered_map<std::string, int, StrHash, StrEqual> clear_hash;

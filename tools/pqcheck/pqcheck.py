@@ -1,89 +1,328 @@
 #!/usr/bin/env python3
-"""pqcheck -- call-graph-aware semantic analyzer for the Pequod tree.
+"""pqcheck -- convention linter and call-graph analyzer for the Pequod tree.
 
-Where pqlint checks tokens and declarations, pqcheck builds a cross-TU
-call graph and checks *paths*: the invariants of DESIGN.md sections 8,
-12 and 13 that only hold (or break) across function boundaries. Rule
-families (contracts in DESIGN.md section 14):
+Checks the invariants of DESIGN.md sections 8, 11, 12 and 13 that a C++
+compiler cannot. One parse of the tree feeds three rule families
+(contracts in DESIGN.md sections 11 and 14; rule table in README.md):
 
-  owner-confinement   Functions annotated PQ_REQUIRES_OWNER may only be
-                      reached from a PQ_CLIENT_CONTEXT root through a
-                      PQ_WORKER_CONTEXT or PQ_QUIESCENT_CONTEXT boundary
-                      (a mailbox hand-off or a documented quiescent
-                      window). A direct client-side call path into an
-                      owner-required function is the §12 bug class the
-                      TSan stress suite samples for; this proves its
-                      absence on the static graph.
-  flush-before-ack    Every call site of a PQ_RELEASES_ACK function in
-                      src/distrib|src/shard must be dominated by a call
-                      whose transitive closure reaches a PQ_FLUSHES_WAL
-                      function -- unless the releaser flushes for
-                      itself (its own body ends with a flush after its
-                      last WAL append). The §13 sync-on-ack contract,
-                      checked statically.
-  rename-sync         Inside src/persist, a rename_file() call must be
-                      preceded in the same function by an fsync of what
-                      it publishes (File::fsync / sync_dir): rename
-                      before sync can publish a name whose bytes die in
-                      the crash.
-  no-alloc            The transitive callee closure of a PQ_NOALLOC
-                      entry point must contain no operator new, malloc,
-                      std::string construction, or growth-capable
-                      std:: container call, except inside PQ_COLDPATH
-                      callees (the sanctioned cold paths: pool refill,
-                      KeyBuf spill, error handling).
-  str-escape          A function must not return (or store through an
-                      out-param/member) a Str derived from a locally
-                      owned KeyBuf/std::string -- the slice dangles the
-                      moment the frame dies. Generalizes pqlint's
-                      str-member rule from declarations to dataflow.
-  stale-suppression   A `// pqcheck: allow(rule)` comment that no
-                      longer suppresses any finding is itself a
-                      violation, so dead exemptions cannot accumulate.
+  token rules       str-member, hot-string, intervalmap-mutation,
+                    transparent-comparator, raw-io: per-line checks over
+                    comment/string-stripped source with a class-scope
+                    tracker.
+  call-graph rules  owner-confinement, flush-before-ack, rename-sync,
+                    no-alloc, str-escape: paths through a cross-TU call
+                    graph built from the PQ_* annotations of
+                    common/annotate.hh.
+  unreachable       every function with a body under --root that no
+                    root reaches. The roots are every name the compdb's
+                    TUs outside --root mention (bench mains, test
+                    cases), or the mains under --root without a compdb.
+                    A tree with no root is not checked.
 
-A violation is suppressed by `// pqcheck: allow(<rule>)` on the same
-line or the line directly above (the mechanism, spelling and report
-schema are shared with pqlint). Every suppression is counted.
-
-Drive it from the compilation database the build already exports:
+A finding is suppressed by `// pqcheck: allow(<rule>)` on the same line
+or the line directly above, and every suppression is counted. An allow()
+that suppresses nothing, or names no rule, is itself a violation
+(stale-suppression), so dead exemptions cannot accumulate.
 
   python3 tools/pqcheck/pqcheck.py --root src \\
       --compdb build/compile_commands.json --json report.json
 
---compdb cross-checks that every TU the build compiles under --root is
-on the analysis list (a file the build sees but pqcheck does not is an
-error) and supplies include paths to the libclang backend. Without it,
---root alone scans every .cc/.hh under the root -- which is how the
-fixture corpus runs.
-
-When the clang.cindex Python bindings are installed, --use-libclang
-swaps the token frontend for a real libclang AST walk (annotations read
-from __attribute__((annotate)), calls from CALL_EXPR); without them the
-flag prints a note and falls back, so the gate behaves identically in
-containers without libclang. Both frontends feed the same call-graph
-rule engine.
-
-Exit status: 0 when every violation is suppressed, 1 otherwise, 2 on
-usage errors.
+--compdb also cross-checks that every TU the build compiles under --root
+is analyzed. Exit status: 0 when every finding is suppressed, 1
+otherwise, 2 on usage errors.
 """
 
 import argparse
+import bisect
 import json
 import os
 import re
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "pqlint"))
-from pqlint import strip_code  # noqa: E402  (shared lexer)
-
+TOKEN_RULES = ("str-member", "hot-string", "intervalmap-mutation",
+               "transparent-comparator", "raw-io")
 RULES = ("owner-confinement", "flush-before-ack", "rename-sync",
-         "no-alloc", "str-escape", "stale-suppression")
+         "no-alloc", "str-escape") + TOKEN_RULES + (
+             "unreachable", "stale-suppression")
 
 ALLOW_RE = re.compile(r"pqcheck:\s*allow\(([a-z\-,\s]+)\)")
 
-# Annotation macro -> canonical tag (the libclang backend reads the same
-# tags from __attribute__((annotate("pq::<tag>"))), see common/annotate.hh).
+# ---- token rules ------------------------------------------------------------
+
+# Types whose whole purpose is owning the bytes their Str members point
+# at; Str members inside them are the convention, not a violation.
+SANCTIONED_STR_OWNERS = {"OwnedSlots", "KeyBuf", "Entry"}
+
+# Directories (relative to the scan root) whose files form the hot path.
+# persist is here because the WAL append rides every acked write; its
+# recovery-time and error-path copies carry reviewed allow() comments.
+# sub is here because the subscription publisher stabs on every shard put.
+HOT_DIRS = ("store", "core", "common", "shard", "persist", "sub")
+
+
+def strip_code(text):
+    """Blank out comments and string/char literals, preserving layout.
+
+    Returns (stripped_text, comment_text) where comment_text keeps ONLY
+    the comments (for allow() extraction) -- both the same shape as the
+    input so line/column arithmetic holds.
+    """
+    out = []
+    comments = []
+    i, n = 0, len(text)
+    state = "code"  # code | line_comment | block_comment | string | char
+    while i < n:
+        c = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if state == "code":
+            if c == "/" and nxt == "/":
+                state = "line_comment"
+                out.append("  ")
+                comments.append("//")
+                i += 2
+                continue
+            if c == "/" and nxt == "*":
+                state = "block_comment"
+                out.append("  ")
+                comments.append("/*")
+                i += 2
+                continue
+            if c == '"':
+                state = "string"
+                out.append('"')
+                comments.append(" ")
+                i += 1
+                continue
+            if c == "'":
+                state = "char"
+                out.append("'")
+                comments.append(" ")
+                i += 1
+                continue
+            out.append(c)
+            comments.append(c if c == "\n" else " ")
+            i += 1
+        elif state == "line_comment":
+            if c == "\n":
+                state = "code"
+                out.append("\n")
+                comments.append("\n")
+            else:
+                out.append(" ")
+                comments.append(c)
+            i += 1
+        elif state == "block_comment":
+            if c == "*" and nxt == "/":
+                state = "code"
+                out.append("  ")
+                comments.append("*/")
+                i += 2
+                continue
+            out.append(c if c == "\n" else " ")
+            comments.append(c)
+            i += 1
+        else:  # string or char literal
+            quote = '"' if state == "string" else "'"
+            if c == "\\":
+                out.append("  ")
+                comments.append("  ")
+                i += 2
+                continue
+            if c == quote:
+                state = "code"
+                out.append(quote)
+            elif c == "\n":  # unterminated; resync rather than cascade
+                state = "code"
+                out.append("\n")
+            else:
+                out.append(" ")
+            comments.append(c if c == "\n" else " ")
+            i += 1
+    return "".join(out), "".join(comments)
+
+
+def allow_sets(comment_lines):
+    """Per-line sets of rules named by pqcheck: allow(...) comments."""
+    allows = {}
+    for lineno, line in enumerate(comment_lines, 1):
+        m = ALLOW_RE.search(line)
+        if m:
+            allows[lineno] = {r.strip() for r in m.group(1).split(",")}
+    return allows
+
+
+class ScopeTracker:
+    """Tracks the innermost class/struct name at each brace depth.
+
+    Good enough for this tree: it recognizes `class X ... {` and
+    `struct X ... {`, pairs braces, and answers "is this line a
+    class-body-level declaration, and of which class?". Function bodies,
+    initializer lists, and nested lambdas all push anonymous scopes, so
+    locals never look like members.
+    """
+
+    CLASS_RE = re.compile(r"\b(class|struct)\s+([A-Za-z_]\w*)")
+
+    def __init__(self):
+        self.stack = []  # (kind, name) per open brace; kind: class|other
+        self.pending = None  # class name seen, brace not yet opened
+
+    def feed(self, line):
+        for m in self.CLASS_RE.finditer(line):
+            # `struct X;` forward declarations never reach a '{' before
+            # the ';' clears them below.
+            self.pending = m.group(2)
+        for c in line:
+            if c == ";" and self.pending is not None and "{" not in line:
+                self.pending = None
+            if c == "{":
+                if self.pending is not None:
+                    self.stack.append(("class", self.pending))
+                    self.pending = None
+                else:
+                    self.stack.append(("other", None))
+            elif c == "}":
+                if self.stack:
+                    self.stack.pop()
+
+    def enclosing_class(self):
+        """Name of the class whose body we are directly inside, or None."""
+        if self.stack and self.stack[-1][0] == "class":
+            return self.stack[-1][1]
+        return None
+
+
+STR_MEMBER_RE = re.compile(
+    r"^\s*(?:static\s+|constexpr\s+|const\s+|mutable\s+)*"
+    r"(Str|std::array\s*<\s*Str\b[^;]*>)\s+"
+    r"([A-Za-z_]\w*)\s*(?:;|=|\{[^}]*\}\s*;)")
+
+
+def check_str_member(stripped_lines):
+    """Str (or std::array<Str, N>) data members outside sanctioned owners."""
+    tracker = ScopeTracker()
+    for lineno, line in enumerate(stripped_lines, 1):
+        cls = None
+        m = STR_MEMBER_RE.match(line)
+        # Member declarations carry no parens; `Str prefix() const` and
+        # parameters never match. Classify the scope BEFORE feeding the
+        # line so its own braces don't shift the answer.
+        if m and "(" not in line:
+            cls = tracker.enclosing_class()
+            if cls is not None and cls not in SANCTIONED_STR_OWNERS:
+                yield (lineno, "str-member",
+                       "class %s holds a non-owning Str member '%s'; move "
+                       "the bytes into an owner (OwnedSlots/KeyBuf) or "
+                       "sanction this type" % (cls, m.group(2)))
+        tracker.feed(line)
+
+
+HOT_STRING_RES = (
+    (re.compile(r"\bstd::string\s*\("), "std::string(...) temporary"),
+    (re.compile(r"\.\s*substr\s*\("), ".substr() allocates a copy"),
+    (re.compile(r"\.\s*str\s*\(\s*\)"), ".str() materializes the slice"),
+)
+
+
+def check_hot_string(rel, stripped_lines):
+    """Allocating string operations inside the hot-path directories."""
+    parts = rel.split("/")
+    if len(parts) < 2 or parts[0] not in HOT_DIRS:
+        return
+    for lineno, line in enumerate(stripped_lines, 1):
+        for pattern, what in HOT_STRING_RES:
+            if pattern.search(line):
+                yield (lineno, "hot-string",
+                       "%s in hot-path file; slice with Str / build into "
+                       "KeyBuf instead" % what)
+
+
+def check_intervalmap(rel, stripped_lines):
+    """IntervalMap instances declared outside the structure and Table."""
+    parts = rel.split("/")
+    if rel.endswith("common/interval_map.hh"):
+        return
+    if parts and parts[0] == "core":
+        return  # Table owns the updater maps; Server routes through it
+    decl = re.compile(r"\bIntervalMap\s*<")
+    for lineno, line in enumerate(stripped_lines, 1):
+        if decl.search(line):
+            yield (lineno, "intervalmap-mutation",
+                   "IntervalMap held outside src/core/ mutates outside "
+                   "Table's routing; go through Table::updaters() or "
+                   "sanction this instance")
+
+
+# A global-namespace call to a POSIX I/O primitive. The negative
+# lookbehind keeps qualified names (Server::write, File::read_only) from
+# matching: those have an identifier or template '>' before the '::'.
+RAW_IO_RE = re.compile(
+    r"(?<![\w>])::(open|close|read|write|pread|pwrite|fsync|fdatasync"
+    r"|ftruncate|unlink|rename|mkdir)\s*\(")
+
+
+def check_raw_io(rel, stripped_lines):
+    """Raw POSIX I/O calls outside the durability tier."""
+    parts = rel.split("/")
+    if parts and parts[0] == "persist":
+        return  # the File/dir helpers are the sanctioned home
+    for lineno, line in enumerate(stripped_lines, 1):
+        m = RAW_IO_RE.search(line)
+        if m:
+            yield (lineno, "raw-io",
+                   "raw ::%s() outside src/persist/; go through "
+                   "persist::File / the persist dir helpers so the "
+                   "durability ordering rules hold" % m.group(1))
+
+
+CONTAINER_RE = re.compile(r"\bstd::(map|set|unordered_map|unordered_set)\s*<")
+
+
+def check_transparent(stripped_text, line_starts):
+    """string-keyed std:: containers without heterogeneous lookup."""
+    for m in CONTAINER_RE.finditer(stripped_text):
+        kind = m.group(1)
+        end = match_close(stripped_text, m.end() - 1, "<", ">")
+        if end < 0:
+            continue
+        args = [a.strip() for a in
+                split_top_commas(stripped_text[m.end():end])]
+        key = args[0]
+        if key not in ("std::string", "string"):
+            continue
+        rest = args[1:]
+        if kind == "map":
+            rest = rest[1:]  # skip mapped type
+        if kind in ("map", "set"):
+            ok = any("less<>" in a.replace(" ", "") for a in rest)
+            need = "std::less<>"
+        else:
+            ok = any("StrHash" in a for a in rest)
+            need = "StrHash/StrEqual"
+        if not ok:
+            lineno = line_of(line_starts, m.start())
+            yield (lineno, "transparent-comparator",
+                   "std::%s keyed by std::string without %s: every Str "
+                   "probe allocates a key copy" % (kind, need))
+
+
+def line_of(line_starts, offset):
+    return bisect.bisect_right(line_starts, offset)
+
+
+def token_findings(rel, stripped, line_starts):
+    """(rel, line, rule, message) for the token rules over one file."""
+    lines = stripped.split("\n")
+    found = []
+    found.extend(check_str_member(lines))
+    found.extend(check_hot_string(rel, lines))
+    found.extend(check_intervalmap(rel, lines))
+    found.extend(check_transparent(stripped, line_starts))
+    found.extend(check_raw_io(rel, lines))
+    return [(rel,) + f for f in found]
+
+
+# Annotation macro -> canonical tag (see common/annotate.hh).
 ANNOTATIONS = {
     "PQ_REQUIRES_OWNER": "requires_owner",
     "PQ_WORKER_CONTEXT": "worker_context",
@@ -123,9 +362,12 @@ GROWTH_CALLS = {
 NEW_RE = re.compile(r"\bnew\b(?!\s*\()")  # `new T`, `new T[n]`, `new T{...}`
 STD_STRING_CTOR_RE = re.compile(r"\bstd::string\s*[({]")
 
+# Methods a std:: container calls on an allocator named in its
+# template arguments, which no source line spells as a call.
+ALLOCATOR_METHODS = ("allocate", "deallocate")
 # Functions that append to the WAL (journaling events for the
 # self-flushing releaser check).
-JOURNAL_NAMES = {"append_put", "append_erase", "log_put", "log_erase"}
+JOURNAL_NAMES = {"append_put", "append_erase", "log_put"}
 # Event names accepted as a data-file sync for rename-sync.
 SYNC_NAMES = {"fsync", "sync_dir", "fdatasync"}
 
@@ -142,9 +384,9 @@ class Call:
 
 
 class Func:
-    __slots__ = ("name", "cls", "qname", "file", "rel", "line", "anns",
-                 "ret", "params", "body", "body_line0", "calls",
-                 "has_body", "_locals")
+    __slots__ = ("name", "cls", "qname", "rel", "line", "anns", "ret",
+                 "params", "body", "body_line0", "calls", "refs",
+                 "_locals")
 
     def __init__(self, **kw):
         self._locals = None
@@ -195,7 +437,7 @@ def split_top_commas(text):
     return parts
 
 
-# ---- token frontend ---------------------------------------------------------
+# ---- parser: functions, classes and calls ----------------------------------
 
 CLASS_HEAD_RE = re.compile(r"\b(class|struct)\b")
 NAMESPACE_HEAD_RE = re.compile(r"\bnamespace\s+([A-Za-z_]\w*)?\s*$")
@@ -204,8 +446,10 @@ CAND_RE = re.compile(
     r"(?P<name>~?[A-Za-z_]\w*)\s*(?:<[^<>();]{0,80}>)?\s*\(")
 TAIL_RE = re.compile(
     r"^\s*(?:(?:const|noexcept(?:\s*\([^()]*\))?|override|final|mutable"
-    r"|&&?|try)\s*)*(?:->\s*[\w:<>,\s&*]+?)?\s*(?::[\s\S]*)?$")
+    r"|&&?|try|PQ_[A-Z_]+(?:\s*\([^()]*\))?)\s*)*"
+    r"(?:->\s*[\w:<>,\s&*]+?)?\s*(?::[\s\S]*)?$")
 PQ_MACRO_RE = re.compile(r"\bPQ_[A-Z_]+\b")
+IDENT_RE = re.compile(r"~?[A-Za-z_]\w*")
 
 
 def head_class_name(head):
@@ -223,26 +467,13 @@ def head_class_name(head):
     return names[-1] if names else None
 
 
-def match_paren(text, open_pos):
+def match_close(text, open_pos, opener, closer):
+    """Index of the `closer` balancing text[open_pos] == opener, or -1."""
     depth = 0
     for i in range(open_pos, len(text)):
-        c = text[i]
-        if c == "(":
+        if text[i] == opener:
             depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-    return -1
-
-
-def match_brace(text, open_pos):
-    depth = 0
-    for i in range(open_pos, len(text)):
-        c = text[i]
-        if c == "{":
-            depth += 1
-        elif c == "}":
+        elif text[i] == closer:
             depth -= 1
             if depth == 0:
                 return i
@@ -262,7 +493,7 @@ def parse_head_function(head):
         if "operator" in head[max(0, m.start() - 12):m.start()]:
             return ("", "operator?", m.start(), len(head) - 1, anns)
         open_pos = head.index("(", m.end() - 1)
-        close = match_paren(head, open_pos)
+        close = match_close(head, open_pos, "(", ")")
         if close < 0:
             continue
         tail = head[close + 1:]
@@ -278,27 +509,10 @@ def parse_head_function(head):
 USING_RE = re.compile(r"\busing\s+([A-Za-z_]\w*)\s*=\s*([^;]+)$")
 
 
-def parse_file(path, root):
+def parse_file(rel, stripped, line_starts):
     """Parse one stripped file into functions, annotations, and types."""
-    rel = os.path.relpath(path, root).replace(os.sep, "/")
-    with open(path, encoding="utf-8", errors="replace") as f:
-        text = f.read()
-    stripped, comments = strip_code(text)
-
-    line_starts = [0]
-    for i, c in enumerate(stripped):
-        if c == "\n":
-            line_starts.append(i + 1)
-
-    def line_of(off):
-        lo, hi = 0, len(line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if line_starts[mid] <= off:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1
+    def at(off):
+        return line_of(line_starts, off)
 
     funcs = []
     decl_anns = {}  # qname -> set of annotations (declarations only)
@@ -350,7 +564,7 @@ def parse_file(path, root):
                 members.setdefault(cls_name, {})
             elif sig is not None:
                 qual, name, open_pos, close_pos, anns = sig
-                end = match_brace(stripped, i)
+                end = match_close(stripped, i, "{", "}")
                 if end < 0:
                     end = n - 1
                 body = stripped[i + 1:end]
@@ -359,14 +573,16 @@ def parse_file(path, root):
                 ret = head[:CAND_RE.search(head).start()] \
                     if CAND_RE.search(head) else head
                 if name != "operator?":
+                    # A ctor's member-initializer list runs with its body.
+                    refs = set(IDENT_RE.findall(head[close_pos + 1:]))
                     funcs.append(Func(
-                        name=name, cls=cls, qname=qname, file=path,
-                        rel=rel, line=line_of(head_start + _first_code(
-                            head)), anns=anns, ret=ret.strip(),
+                        name=name, cls=cls, qname=qname, rel=rel,
+                        line=at(head_start + _first_code(head)),
+                        anns=anns, ret=ret.strip(),
                         params=head[open_pos + 1:close_pos],
-                        body=body, body_line0=line_of(i + 1),
-                        calls=extract_calls(body, i + 1, line_of),
-                        has_body=True))
+                        body=body, body_line0=at(i + 1),
+                        calls=extract_calls(body, i + 1, at),
+                        refs=refs | set(IDENT_RE.findall(body))))
                 i = end + 1
                 head_start = i
                 continue
@@ -378,19 +594,20 @@ def parse_file(path, root):
                 scope.pop()
             head_start = i + 1
         i += 1
-    return funcs, decl_anns, members, aliases, comments
+    return funcs, decl_anns, members, aliases
 
 
 def _first_code(head):
-    m = re.search(r"\S", head)
-    return m.start() if m else 0
+    """Offset of the head's first token, skipping preprocessor lines."""
+    m = re.search(r"^[ \t]*([^\s#])", head, re.M)
+    return m.start(1) if m else 0
 
 
 CHAIN_RE = re.compile(
     r"((?:(?:[A-Za-z_]\w*|\))(?:\[[^][]{0,80}\])?\s*(?:\.|->)\s*)+)$")
 
 
-def extract_calls(body, body_off, line_of):
+def extract_calls(body, body_off, at):
     calls = []
     for m in CAND_RE.finditer(body):
         name = m.group("name")
@@ -424,7 +641,7 @@ def extract_calls(body, body_off, line_of):
                    "compare", ""):
             cls = None
         calls.append(Call(name, cls, chain, m.start(),
-                          line_of(body_off + m.start())))
+                          at(body_off + m.start())))
     return calls
 
 
@@ -445,11 +662,24 @@ class Program:
         self.aliases = {}      # class-or-"" -> {alias: type string}
         self.classes = set()
         self.file_allows = {}  # rel -> {line: set(rules)}
+        self.token_found = []  # token-rule findings
+        self.root_refs = set()  # identifiers the TUs outside the root name
+
+    def add_root_file(self, path):
+        """A TU outside the root only seeds reachability: no rule runs
+        over it, and every identifier it names is a root reference."""
+        with open(path, encoding="utf-8", errors="replace") as f:
+            self.root_refs.update(IDENT_RE.findall(strip_code(f.read())[0]))
 
     def add_file(self, path, root):
-        funcs, decl_anns, members, aliases, comments = \
-            parse_file(path, root)
         rel = os.path.relpath(path, root).replace(os.sep, "/")
+        with open(path, encoding="utf-8", errors="replace") as f:
+            stripped, comments = strip_code(f.read())
+        line_starts = [0] + [m.end() for m in re.finditer("\n", stripped)]
+        funcs, decl_anns, members, aliases = \
+            parse_file(rel, stripped, line_starts)
+        self.token_found.extend(token_findings(rel, stripped, line_starts))
+        self.file_allows[rel] = allow_sets(comments.split("\n"))
         self.funcs.extend(funcs)
         for f in funcs:
             self.by_name.setdefault(f.name, []).append(f)
@@ -464,12 +694,6 @@ class Program:
             self.members.setdefault(cls, {}).update(mem)
         for cls, al in aliases.items():
             self.aliases.setdefault(cls, {}).update(al)
-        allows = {}
-        for lineno, line in enumerate(comments.split("\n"), 1):
-            m = ALLOW_RE.search(line)
-            if m:
-                allows[lineno] = {r.strip() for r in m.group(1).split(",")}
-        self.file_allows[rel] = allows
 
     def finish(self):
         for f in self.funcs:
@@ -595,7 +819,7 @@ def transitive_reachers(program, targets):
     return reach
 
 
-# ---- rules ------------------------------------------------------------------
+# ---- call-graph rules -------------------------------------------------------
 
 def rule_owner_confinement(program):
     """Paths from client contexts into owner-required functions."""
@@ -625,7 +849,7 @@ def rule_owner_confinement(program):
                     if ("worker_context" in g.anns
                             or "quiescent_context" in g.anns):
                         continue  # sanctioned ownership boundary
-                    if g.qname not in visited and g.has_body:
+                    if g.qname not in visited:
                         visited.add(g.qname)
                         stack.append((g, path + (g.qname,)))
     return findings
@@ -663,8 +887,6 @@ def rule_flush_before_ack(program):
                       if "releases_ack" in a}
     findings = []
     for r in releasers:
-        if not r.has_body:
-            continue
         last_flush = max((c.pos for c in r.calls if is_flush_event(r, c)),
                         default=None)
         last_journal = max((c.pos for c in r.calls
@@ -778,7 +1000,7 @@ def rule_noalloc(program):
                     for g in resolved:
                         if "coldpath" in g.anns:
                             continue
-                        if g.qname not in visited and g.has_body:
+                        if g.qname not in visited:
                             visited.add(g.qname)
                             stack.append((g, root))
                     continue
@@ -809,8 +1031,6 @@ LOCAL_OWNER_RE = re.compile(
 def rule_str_escape(program):
     findings = []
     for f in program.funcs:
-        if not f.has_body:
-            continue
         locals_ = {}
         for m in LOCAL_OWNER_RE.finditer(f.body):
             locals_[m.group(2)] = m.group(1)
@@ -847,109 +1067,50 @@ def rule_str_escape(program):
     return findings
 
 
-# ---- libclang backend -------------------------------------------------------
+def rule_unreachable(program):
+    """Functions under the root that no root reaches.
 
-def try_libclang():
-    try:
-        import clang.cindex  # noqa: F401
-        return True
-    except ImportError:
-        return False
+    Resolution is by name alone: Program.resolve() under-approximates on
+    purpose, which here would make live code look dead. A call or any
+    other mention of an identifier reaches every definition of that
+    name (all overrides, all overloads, function pointers), and naming
+    a class, or an alias of it, reaches its constructors, destructor
+    and the allocator methods a std:: container calls through a
+    template argument."""
+    mains = [f for f in program.funcs if f.name == "main" and f.cls is None]
+    if not mains and not program.root_refs:
+        return []  # a library with no entry point: nothing to measure
+    aliased = {a: IDENT_RE.findall(t.split("<")[0])[-1]
+               for scope in program.aliases.values()
+               for a, t in scope.items() if IDENT_RE.search(t)}
 
+    def targets(name):
+        out = program.by_name.get(name, [])
+        if name in program.classes:
+            out = out + program.by_name.get("~" + name, []) + [
+                g for m in ALLOCATOR_METHODS
+                for g in program.by_name.get(m, []) if g.cls == name]
+        if name in aliased and aliased[name] != name:
+            out = out + targets(aliased[name])
+        return out
 
-def libclang_program(files, root, compdb_dir):
-    """Build a Program from real ASTs. Requires clang.cindex."""
-    import clang.cindex as ci
-    program = Program()
-    db = None
-    if compdb_dir:
-        try:
-            db = ci.CompilationDatabase.fromDirectory(compdb_dir)
-        except ci.CompilationDatabaseError:
-            db = None
-    index = ci.Index.create()
-    seen = set()
-    for path in files:
-        args = ["-std=c++20", "-I" + root]
-        if db is not None:
-            cmds = db.getCompileCommands(os.path.abspath(path))
-            if cmds:
-                raw = list(cmds[0].arguments)[1:-1]
-                args = [a for a in raw if a.startswith(("-I", "-D", "-std"))]
-        try:
-            tu = index.parse(path, args=args)
-        except ci.TranslationUnitLoadError:
-            continue
-        for cur in tu.cursor.walk_preorder():
-            if cur.kind not in (ci.CursorKind.FUNCTION_DECL,
-                                ci.CursorKind.CXX_METHOD,
-                                ci.CursorKind.CONSTRUCTOR,
-                                ci.CursorKind.DESTRUCTOR,
-                                ci.CursorKind.FUNCTION_TEMPLATE):
-                continue
-            loc = cur.location
-            if loc.file is None or not loc.file.name.startswith(
-                    os.path.abspath(root)):
-                continue
-            cls = cur.semantic_parent.spelling \
-                if cur.semantic_parent and cur.semantic_parent.kind in (
-                    ci.CursorKind.CLASS_DECL, ci.CursorKind.STRUCT_DECL,
-                    ci.CursorKind.CLASS_TEMPLATE) else None
-            qname = "%s::%s" % (cls, cur.spelling) if cls else cur.spelling
-            anns = set()
-            calls = []
-            for child in cur.walk_preorder():
-                if child.kind == ci.CursorKind.ANNOTATE_ATTR \
-                        and child.spelling.startswith("pq::"):
-                    anns.add(child.spelling[4:])
-                if child.kind == ci.CursorKind.CALL_EXPR:
-                    ref = child.referenced
-                    cname = ref.spelling if ref else child.spelling
-                    ccls = None
-                    if ref and ref.semantic_parent and \
-                            ref.semantic_parent.kind in (
-                                ci.CursorKind.CLASS_DECL,
-                                ci.CursorKind.STRUCT_DECL,
-                                ci.CursorKind.CLASS_TEMPLATE):
-                        ccls = ref.semantic_parent.spelling
-                    if cname:
-                        calls.append(Call(cname, ccls,
-                                          [] if ccls is not None else None,
-                                          child.location.offset,
-                                          child.location.line))
-                if child.kind == ci.CursorKind.CXX_NEW_EXPR:
-                    calls.append(Call("operator new", None, None,
-                                      child.location.offset,
-                                      child.location.line))
-            key = (qname, loc.file.name, loc.line)
-            if key in seen:
-                continue
-            seen.add(key)
-            f = Func(name=cur.spelling, cls=cls, qname=qname,
-                     file=loc.file.name,
-                     rel=os.path.relpath(loc.file.name, root).replace(
-                         os.sep, "/"),
-                     line=loc.line, anns=anns, ret=cur.result_type.spelling
-                     if cur.result_type else "",
-                     params="", body="", body_line0=loc.line, calls=calls,
-                     has_body=cur.is_definition())
-            program.funcs.append(f)
-            program.by_name.setdefault(f.name, []).append(f)
-            if anns:
-                program.anns.setdefault(qname, set()).update(anns)
-    # allow() comments still come from the token pass.
-    for path in files:
-        rel = os.path.relpath(path, root).replace(os.sep, "/")
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            _, comments = strip_code(fh.read())
-        allows = {}
-        for lineno, line in enumerate(comments.split("\n"), 1):
-            m = ALLOW_RE.search(line)
-            if m:
-                allows[lineno] = {r.strip() for r in m.group(1).split(",")}
-        program.file_allows[rel] = allows
-    program.finish()
-    return program
+    reached = set(mains)
+    stack = list(mains)
+
+    def visit(names):
+        for name in names:
+            for g in targets(name):
+                if g not in reached:
+                    reached.add(g)
+                    stack.append(g)
+
+    visit(program.root_refs)
+    while stack:
+        visit(stack.pop().refs)
+    return [(f.rel, f.line, "unreachable",
+             "%s has no caller on any path from a bench, test or main "
+             "root; delete it or give it its job" % f.qname)
+            for f in program.funcs if f not in reached]
 
 
 # ---- driver -----------------------------------------------------------------
@@ -963,23 +1124,51 @@ def collect_files(root):
     return out
 
 
-def check_compdb(compdb_path, root, files):
-    """Every TU the build compiles under `root` must be analyzed."""
+def read_compdb(compdb_path, root, files):
+    """(TUs under root, of them the unanalyzed ones, TUs outside root)."""
     with open(compdb_path, encoding="utf-8") as f:
         entries = json.load(f)
     analyzed = {os.path.abspath(p) for p in files}
-    missing = []
-    tus = 0
+    inside, outside = [], []
     root_abs = os.path.abspath(root)
     for e in entries:
         src = os.path.abspath(os.path.join(e.get("directory", "."),
                                            e["file"]))
-        if not src.startswith(root_abs + os.sep):
-            continue
-        tus += 1
-        if src not in analyzed:
-            missing.append(src)
-    return tus, missing
+        (inside if src.startswith(root_abs + os.sep) else outside).append(src)
+    return len(inside), [t for t in inside if t not in analyzed], outside
+
+
+def suppress(found, file_allows):
+    """Report dicts for `found`, plus one stale-suppression per allow()
+    rule that suppressed nothing or names no rule."""
+    violations = []
+    used = set()  # (rel, allow line, rule)
+    for rel, lineno, rule, message in found:
+        allows = file_allows.get(rel, {})
+        sup_line = next((ln for ln in (lineno, lineno - 1)
+                         if rule in allows.get(ln, ())), None)
+        if sup_line is not None:
+            used.add((rel, sup_line, rule))
+        violations.append({
+            "file": rel, "line": lineno, "rule": rule, "message": message,
+            "suppressed": sup_line is not None,
+        })
+    for rel, allows in sorted(file_allows.items()):
+        for lineno, rules in sorted(allows.items()):
+            for rule in sorted(rules):
+                if (rel, lineno, rule) in used:
+                    continue
+                why = ("suppresses nothing; delete the dead exemption"
+                       if rule in RULES else
+                       "names no rule; fix the spelling or delete it")
+                violations.append({
+                    "file": rel, "line": lineno,
+                    "rule": "stale-suppression",
+                    "message": "allow(%s) %s" % (rule, why),
+                    "suppressed": False,
+                })
+    violations.sort(key=lambda v: (v["file"], v["line"], v["rule"]))
+    return violations
 
 
 def main(argv):
@@ -987,13 +1176,10 @@ def main(argv):
     ap.add_argument("--root", required=True,
                     help="analysis root (e.g. src, or a fixture dir)")
     ap.add_argument("--compdb", metavar="FILE",
-                    help="compile_commands.json; cross-checks TU coverage "
-                         "and feeds include paths to the libclang backend")
+                    help="compile_commands.json: cross-checks TU coverage; "
+                         "TUs outside the root are the unreachable roots")
     ap.add_argument("--json", metavar="FILE",
                     help="write the machine-readable report here")
-    ap.add_argument("--use-libclang", action="store_true",
-                    help="use the libclang AST frontend when the bindings "
-                         "exist (falls back to token mode otherwise)")
     args = ap.parse_args(argv)
 
     if not os.path.isdir(args.root):
@@ -1001,75 +1187,32 @@ def main(argv):
         return 2
 
     files = collect_files(args.root)
-    tus = None
+    tus, outside = None, []
     if args.compdb:
         if not os.path.isfile(args.compdb):
             print("pqcheck: no such compdb: %s" % args.compdb,
                   file=sys.stderr)
             return 2
-        tus, missing = check_compdb(args.compdb, args.root, files)
+        tus, missing, outside = read_compdb(args.compdb, args.root, files)
         if missing:
             for m in missing:
                 print("pqcheck: TU compiled but not analyzed: %s" % m,
                       file=sys.stderr)
             return 2
 
-    use_clang = args.use_libclang and try_libclang()
-    if args.use_libclang and not use_clang:
-        print("pqcheck: libclang bindings unavailable; "
-              "falling back to token mode", file=sys.stderr)
+    program = Program()
+    for path in files:
+        program.add_file(path, args.root)
+    for path in outside:
+        program.add_root_file(path)
+    program.finish()
 
-    if use_clang:
-        program = libclang_program(
-            files, args.root,
-            os.path.dirname(os.path.abspath(args.compdb))
-            if args.compdb else None)
-    else:
-        program = Program()
-        for path in files:
-            program.add_file(path, args.root)
-        program.finish()
-
-    found = []
-    found.extend(rule_owner_confinement(program))
-    found.extend(rule_flush_before_ack(program))
-    found.extend(rule_rename_sync(program))
-    found.extend(rule_noalloc(program))
-    found.extend(rule_str_escape(program))
-
-    violations = []
-    used_allows = {}  # (rel, line) -> set(rules actually suppressed)
-    for rel, lineno, rule, message in found:
-        allows = program.file_allows.get(rel, {})
-        sup_line = None
-        if rule in allows.get(lineno, ()):
-            sup_line = lineno
-        elif rule in allows.get(lineno - 1, ()):
-            sup_line = lineno - 1
-        if sup_line is not None:
-            used_allows.setdefault((rel, sup_line), set()).add(rule)
-        violations.append({
-            "file": rel, "line": lineno, "rule": rule, "message": message,
-            "suppressed": sup_line is not None,
-        })
-
-    # Stale suppressions: every rule named in an allow() must have
-    # suppressed at least one finding.
-    for rel, allows in sorted(program.file_allows.items()):
-        for lineno, rules in sorted(allows.items()):
-            for rule in sorted(rules):
-                if rule not in RULES:
-                    continue
-                if rule not in used_allows.get((rel, lineno), set()):
-                    violations.append({
-                        "file": rel, "line": lineno,
-                        "rule": "stale-suppression",
-                        "message": "allow(%s) suppresses nothing; delete "
-                                   "the dead exemption" % rule,
-                        "suppressed": False,
-                    })
-
-    violations.sort(key=lambda v: (v["file"], v["line"], v["rule"]))
+    found = list(program.token_found)
+    for rule in (rule_owner_confinement, rule_flush_before_ack,
+                 rule_rename_sync, rule_noalloc, rule_str_escape,
+                 rule_unreachable):
+        found.extend(rule(program))
+    violations = suppress(found, program.file_allows)
     active = [v for v in violations if not v["suppressed"]]
     suppressed = [v for v in violations if v["suppressed"]]
 
@@ -1078,7 +1221,6 @@ def main(argv):
             "tool": "pqcheck",
             "root": args.root,
             "rules": list(RULES),
-            "frontend": "libclang" if use_clang else "token",
             "functions": len(program.funcs),
             "tus_checked": tus,
             "violations": violations,
