@@ -1,13 +1,17 @@
 // Google-benchmark microbenchmarks for Pequod's building blocks: store
 // operations across the tree layers, pattern matching and containing-range
 // computation, the updater interval tree, the wire codec, join execution,
-// login materialization, and eager incremental maintenance.
+// login materialization, eager incremental maintenance, and the hot
+// freshness check of an already-materialized timeline.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/interval_map.hh"
 #include "common/mpsc_queue.hh"
@@ -322,6 +326,64 @@ void BM_FanOutPost(benchmark::State& state) {
                             * followers);
 }
 BENCHMARK(BM_FanOutPost)->Arg(10)->Arg(100)->Arg(1000);
+
+// Hot timeline checks — "anything since my last post?" over an
+// already-materialized timeline — with `range(0)` timelines cached. Each
+// user follows one of 64 posters with three posts, and checks from the
+// newest post's timestamp (one row back). `checked` users, spread evenly
+// over the cached ones (all of them when checked >= users), are visited
+// in a fixed shuffled order.
+void fresh_checks(benchmark::State& state, int checked) {
+    const int users = static_cast<int>(state.range(0));
+    Server server;
+    server.add_join(kTimelineJoin);
+    for (int p = 0; p < 64; ++p)
+        for (uint64_t i = 1; i <= 3; ++i)
+            server.put("p|poster" + pad_number(static_cast<uint64_t>(p), 4)
+                           + "|" + pad_number(i, 10),
+                       "tweet");
+    std::vector<std::pair<std::string, std::string>> checks;
+    for (int u = 0; u < users; ++u) {
+        server.put(user_key("s|", u) + "poster"
+                       + pad_number(static_cast<uint64_t>(u % 64), 4),
+                   "1");
+        std::string lo = user_key("t|", u);
+        std::string hi = prefix_successor(lo);
+        server.scan(lo, hi, [](const std::string&, const ValuePtr&) {});
+        if (checked >= users
+            || static_cast<int64_t>(u) * checked % users < checked)
+            checks.emplace_back(lo + pad_number(3, 10), hi);
+    }
+    Rng rng(7);
+    for (size_t i = checks.size(); i > 1; --i)
+        std::swap(checks[i - 1], checks[rng.below(i)]);
+    size_t rows = 0;
+    auto count = [&rows](const std::string&, const ValuePtr&) { ++rows; };
+    size_t next = 0;
+    for (auto _ : state) {
+        const auto& c = checks[next];
+        server.scan(c.first, c.second, count);
+        if (++next == checks.size())
+            next = 0;
+    }
+    benchmark::DoNotOptimize(rows);
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+
+// The same 100 users are checked at every count, so the data the checks
+// touch stays cache-resident and only the number of cached timelines
+// varies: the time should be flat in it.
+void BM_FreshCheck(benchmark::State& state) {
+    fresh_checks(state, 100);
+}
+BENCHMARK(BM_FreshCheck)->Arg(1000)->Arg(30000);
+
+// Every cached timeline is checked, so at larger counts each check also
+// pays the cache and TLB misses of a working set that outgrows them.
+void BM_FreshCheckCold(benchmark::State& state) {
+    fresh_checks(state, INT32_MAX);
+}
+BENCHMARK(BM_FreshCheckCold)->Arg(1000)->Arg(30000);
 
 void BM_MpscQueueSingleProducer(benchmark::State& state) {
     // The shard mailbox hot path with no contention: one thread both

@@ -325,6 +325,12 @@ void Server::scan_remote(Str lo, Str hi, const RawRef& f) {
 
 void Server::scan_impl(Str lo, Str hi, const ScanRef& f) {
     assert_owner();
+    auto visit = [&f](const std::string& key, const Entry& e) {
+        ValuePtr v = &e.value();
+        f(key, v);
+    };
+    if (const Store::Subtable* sub = fresh_group(lo, hi))
+        return Store::scan_group(*sub, lo, hi, visit);
     // Freshen every maintained sink the range overlaps; a scan may span
     // several tables (or tables plus unrouted keys).
     if (Table* t = freshen(lo, hi)) {
@@ -339,10 +345,6 @@ void Server::scan_impl(Str lo, Str hi, const ScanRef& f) {
         pull_scan(*t, lo, hi, f);
         return;
     }
-    auto visit = [&f](const std::string& key, const Entry& e) {
-        ValuePtr v = &e.value();
-        f(key, v);
-    };
     if (remote_)
         scan_remote(lo, hi, visit);
     else
@@ -387,10 +389,30 @@ Table* Server::freshen(Str lo, Str hi) {
     return nullptr;
 }
 
+// Only a maintained sink's store carries whole-group marks, and a remote
+// server's stores hold no subtables, so a mark alone proves the scan is
+// a confined read of fresh output; spanning or short-key ranges, disabled
+// subtables and empty groups find no marked subtable.
+const Store::Subtable* Server::fresh_group(Str lo, Str hi) const {
+    const Store::Subtable* sub = table_for(lo).store().confined_group(lo, hi);
+    return sub && sub->materialized ? sub : nullptr;
+}
+
+// The valid set is the authority; a group's mark is a cached "this whole
+// block is covered" that saves its descent. A covered check of an
+// unmarked group (after a whole-sink scan, say) marks it for next time.
 void Server::freshen_table(Table& sink_table, Str lo, Str hi) {
-    Table::Sink& sk = sink_table.sink();
-    if (sk.valid.covers(lo, hi))
+    Store::Subtable* sub = sink_table.store().confined_group(lo, hi);
+    if (sub && sub->materialized)
         return;
+    if (!sink_table.sink().valid.covers(lo, hi))
+        return materialize(sink_table, lo, hi);
+    if (sub)
+        sub->materialized = sink_table.covers_group(*sub);
+}
+
+void Server::materialize(Table& sink_table, Str lo, Str hi) {
+    Table::Sink& sk = sink_table.sink();
     // Materialize at updater-range granularity: compute the whole sink
     // range the scan's bound slots determine (typically one user's
     // timeline), so follow-up scans of subranges hit the valid set and
@@ -403,6 +425,11 @@ void Server::freshen_table(Table& sink_table, Str lo, Str hi) {
     EmitRef emit_ref(emit);
     execute(sink_table, 0, ss, true, emit_ref);
     sk.valid.add(out.lo, out.hi);
+    // A range that is exactly one group's block marks its subtable, if
+    // the join emitted any row into it.
+    Store::Subtable* sub = sink_table.store().confined_group(out.lo, out.hi);
+    if (sub && Store::is_block(*sub, out.lo, out.hi))
+        sub->materialized = true;
     ++stat_materializations_;
 }
 
@@ -783,6 +810,24 @@ bool Server::orphan_group_for_test() {
                 range.lo, range.hi, [](UpdaterGroup* const&) {});
             return true;
         }
+    }
+    return false;
+}
+
+bool Server::plant_stale_group_mark_for_test() {
+    for (auto& entry : tables_) {
+        Table& t = entry.second;
+        if (!t.is_sink())
+            continue;
+        bool planted = false;
+        t.store().for_each_group([&](Store::Subtable& sub) {
+            if (planted || !sub.full || t.covers_group(sub))
+                return;
+            sub.materialized = true;
+            planted = true;
+        });
+        if (planted)
+            return true;
     }
     return false;
 }

@@ -218,6 +218,14 @@ class Server {
     bool unsort_bindings_for_test();
     // Drop a group's interval but keep the group in its sink's index.
     bool orphan_group_for_test();
+    // Set the whole-group mark on a sink subtable whose block the sink's
+    // valid set does not cover.
+    bool plant_stale_group_mark_for_test();
+    // True when a scan of [lo, hi) would be a hot check: served from one
+    // marked subtable without consulting the valid set.
+    bool hot_check_for_test(Str lo, Str hi) const {
+        return fresh_group(lo, hi) != nullptr;
+    }
 
   private:
     using TableMap = std::map<std::string, Table, std::less<>>;
@@ -249,10 +257,18 @@ class Server {
     // arrive as strings, so the stab and the join see transient Entries.
     PQ_COLDPATH void write_remote(Table& t, Str key, Str value);
     PQ_COLDPATH void scan_remote(Str lo, Str hi, const RawRef& f);
-    void scan_impl(Str lo, Str hi, const ScanRef& f);
+    // The scan entry. A hot check — a scan inside one materialized group
+    // block of a maintained sink — is one subtable probe and one tree
+    // walk; everything else takes the general path below it.
+    PQ_NOALLOC void scan_impl(Str lo, Str hi, const ScanRef& f);
+    // The marked subtable a hot check of [lo, hi) reads, or null.
+    const Store::Subtable* fresh_group(Str lo, Str hi) const;
     void raw_scan(Str lo, Str hi, const RawRef& f);
     Table* freshen(Str lo, Str hi);
     void freshen_table(Table& sink_table, Str lo, Str hi);
+    // Run the sink's join over the whole range that [lo, hi)'s bound
+    // slots determine, and record that range valid.
+    PQ_COLDPATH void materialize(Table& sink_table, Str lo, Str hi);
     // Join execution: scans source ranges, installs updaters, emits
     // sink rows. Reached from a put only when a brand-new check-source
     // key installs fresh copy ranges — materialization machinery, cold
@@ -265,7 +281,8 @@ class Server {
                                      const KeyRange& range);
     void apply_update(UpdaterGroup& g, Str key, const Entry& stored,
                       bool inserted);
-    void pull_scan(Table& sink_table, Str lo, Str hi, const ScanRef& f);
+    PQ_COLDPATH void pull_scan(Table& sink_table, Str lo, Str hi,
+                               const ScanRef& f);
 
 #if PEQUOD_VALIDATE
     void assert_owner() const;

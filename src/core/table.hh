@@ -157,12 +157,22 @@ class Table {
     // Declare [lo, hi) suspect (§10): erase the stored entries and, when
     // this table is a join sink, shrink the valid set so the next scan
     // re-materializes the range instead of serving what might be stale.
+    // The erase also clears the whole-group mark of every subtable whose
+    // block meets the range, which keeps "marked implies covered" true.
     // The server layers updater teardown and chained-join cascade on top.
     size_t invalidate_range(Str lo, Str hi) {
         size_t erased = store_.erase_range(lo, hi);
         if (sink_)
             sink_->valid.subtract(lo, hi);
         return erased;
+    }
+
+    // Whether this sink's valid set covers all of `sub`'s group block:
+    // the condition a whole-group mark stands for.
+    bool covers_group(const Store::Subtable& sub) const {
+        KeyBuf end;
+        Store::block_end(sub, end);
+        return sink_->valid.covers(*sub.prefix, end);
     }
 
     // Updater groups whose source range lies in this table, one interval
@@ -188,7 +198,10 @@ class Table {
     // inside this table's block, and — when this table is a join sink —
     // every materialized (valid) range lies inside the block too, so a
     // scan that trusts the valid set can only be served keys this table
-    // actually owns. Throws InvariantError on the first break.
+    // actually owns. A whole-group mark appears only in a maintained
+    // sink's store, and only on a group whose block the valid set
+    // covers: a hot check trusts the mark alone. Throws InvariantError
+    // on the first break.
     PQ_COLDPATH void verify() const {
         store_.verify();
         updaters_.verify();
@@ -201,6 +214,16 @@ class Table {
                                             "block: " + key);
             });
         }
+        store_.for_each_group([this](const Store::Subtable& sub) {
+            if (!sub.materialized)
+                return;
+            if (!sink_ || !sink_->join.maintained())
+                invariant_fail("Table", "whole-group mark outside a "
+                                        "maintained sink: " + *sub.prefix);
+            if (!covers_group(sub))
+                invariant_fail("Table", "marked group not covered by the "
+                                        "valid set: " + *sub.prefix);
+        });
         if (!sink_)
             return;
         sink_->valid.verify();

@@ -1,6 +1,7 @@
 #include "store/store.hh"
 
 #include <stdexcept>
+#include <utility>
 
 #include "common/validate.hh"
 
@@ -25,23 +26,28 @@ void Store::set_subtable_components(const std::string& prefix,
     specs_.emplace_back(prefix, components);
 }
 
-size_t Store::group_length(Str key) const {
+size_t Store::group_length(Str key, bool* full) const {
     for (const auto& spec : specs_) {
         if (!key.starts_with(spec.first))
             continue;
         size_t pos = spec.first.size();
         for (int c = 0; c < spec.second; ++c) {
             size_t bar = key.find('|', pos);
-            if (bar == Str::npos)
+            if (bar == Str::npos) {
+                if (full)
+                    *full = false;
                 return key.size();  // short key: the whole key is its group
+            }
             pos = bar + 1;
         }
+        if (full)
+            *full = true;
         return pos;
     }
     return 0;
 }
 
-Store::Subtable* Store::find_or_make_subtable(Str group) {
+Store::Subtable* Store::find_or_make_subtable(Str group, bool full) {
     auto hit = table_index_.find(group);
     if (hit != table_index_.end())
         return hit->second;
@@ -52,8 +58,8 @@ Store::Subtable* Store::find_or_make_subtable(Str group) {
     auto ins = tables_.emplace(group.str(), Subtable(pool_.get()));  // pqcheck: allow(hot-string)
     Subtable* sub = &ins.first->second;
     if (ins.second) {
-        // pqcheck: allow(no-alloc)
-        sub->prefix = group.str();  // pqcheck: allow(hot-string)
+        sub->prefix = &ins.first->first;
+        sub->full = full;
         ++stats_.subtable_count;
         stats_.structure_bytes += kSubtableOverhead + 2 * group.size();
     }
@@ -65,6 +71,43 @@ Store::Subtable* Store::find_or_make_subtable(Str group) {
 const Store::Subtable* Store::find_subtable(Str group) const {
     auto hit = table_index_.find(group);
     return hit != table_index_.end() ? hit->second : nullptr;
+}
+
+// A '|'-terminated group's block is [group, end) with end the group with
+// its final '|' bumped to '}'; the strings in (group, end] are exactly
+// those starting with `group`, plus `end` itself.
+static bool is_block_end(Str group, Str hi) {
+    size_t n = group.size();
+    return hi.size() == n && hi.back() == '}'
+        && hi.prefix(n - 1) == group.prefix(n - 1);
+}
+
+Store::Subtable* Store::confined_group(Str lo, Str hi) {
+    return const_cast<Subtable*>(std::as_const(*this).confined_group(lo, hi));
+}
+
+const Store::Subtable* Store::confined_group(Str lo, Str hi) const {
+    if (!enable_subtables_ || hi.empty())
+        return nullptr;
+    bool full = false;
+    size_t glen = group_length(lo, &full);
+    if (glen == 0 || !full)
+        return nullptr;
+    Str group = lo.prefix(glen);
+    if (!hi.starts_with(group) && !is_block_end(group, hi))
+        return nullptr;
+    return find_subtable(group);
+}
+
+bool Store::is_block(const Subtable& sub, Str lo, Str hi) {
+    return sub.full && lo == Str(*sub.prefix) && is_block_end(lo, hi);
+}
+
+void Store::block_end(const Subtable& sub, KeyBuf& out) {
+    Str group = *sub.prefix;
+    out.clear();
+    out.append(group.prefix(group.size() - 1));
+    out.push_back('}');
 }
 
 // Settle `e`'s value to either owned bytes (`sv` null) or the shared
@@ -145,14 +188,13 @@ Entry* Store::put_impl(Str key, Str value, SharedValue* sv, Hint* hint,
     // regardless.
     if (hint && hint->tree && hint->epoch == epoch_) {
         const Subtable* sub = hint->table;
-        // A '|'-terminated group owns every key sharing its prefix, but a
-        // short-key group (no trailing separator) holds exactly one key —
-        // a longer key starting with it belongs to some other group. A
-        // main-tree hint holds whenever no subtable spec claims the key.
+        // A full group owns every key sharing its prefix, but a one-key
+        // group holds exactly its key — a longer key starting with it
+        // belongs to some other group. A main-tree hint holds whenever no
+        // subtable spec claims the key.
         bool routable = sub
-            ? key.starts_with(sub->prefix)
-                  && (sub->prefix.back() == '|'
-                      || key.size() == sub->prefix.size())
+            ? key.starts_with(*sub->prefix)
+                  && (sub->full || key.size() == sub->prefix->size())
             : !enable_subtables_ || group_length(key) == 0;
         if (routable) {
             Tree::iterator guess = hint->pos;
@@ -175,9 +217,10 @@ Entry* Store::put_impl(Str key, Str value, SharedValue* sv, Hint* hint,
     Tree* tree = &tree_;
     Subtable* sub = nullptr;
     if (enable_subtables_) {
-        size_t glen = group_length(key);
+        bool full = false;
+        size_t glen = group_length(key, &full);
         if (glen) {
-            sub = find_or_make_subtable(key.prefix(glen));
+            sub = find_or_make_subtable(key.prefix(glen), full);
             tree = &sub->tree;
         }
     }
@@ -222,8 +265,10 @@ size_t Store::erase_range(Str lo, Str hi) {
             dit = prev;
     }
     for (; dit != tables_.end() && (hi.empty() || Str(dit->first) < hi);
-         ++dit)
+         ++dit) {
+        dit->second.materialized = false;
         erase_in(dit->second.tree);
+    }
     return removed;
 }
 
@@ -250,21 +295,29 @@ void Store::verify() const {
     }
     for (const auto& dir : tables_) {
         const Subtable& sub = dir.second;
-        if (dir.first != sub.prefix)
-            invariant_fail("Store", "subtable prefix disagrees with its "
-                                    "directory key: " + dir.first);
+        if (sub.prefix != &dir.first)
+            invariant_fail("Store", "subtable prefix is not its directory "
+                                    "key: " + dir.first);
+        bool full = false;
+        if (group_length(dir.first, &full) != dir.first.size()
+            || full != sub.full)
+            invariant_fail("Store", "subtable's group kind disagrees with "
+                                    "its prefix: " + dir.first);
+        if (sub.materialized && !sub.full)
+            invariant_fail("Store", "one-key group carries the whole-group "
+                                    "mark: " + dir.first);
         auto hit = table_index_.find(Str(dir.first));
         if (hit == table_index_.end() || hit->second != &sub)
             invariant_fail("Store", "hash index misses or misroutes "
                                     "subtable: " + dir.first);
         for (const auto& kv : sub.tree)
-            if (group_length(kv.first) != sub.prefix.size()
-                || !Str(kv.first).starts_with(sub.prefix))
+            if (group_length(kv.first) != dir.first.size()
+                || !Str(kv.first).starts_with(dir.first))
                 invariant_fail("Store", "key routed to the wrong subtable: "
                                             + kv.first);
         count_tree(sub.tree);
         ++expect.subtable_count;
-        expect.structure_bytes += kSubtableOverhead + 2 * sub.prefix.size();
+        expect.structure_bytes += kSubtableOverhead + 2 * dir.first.size();
     }
     if (table_index_.size() != tables_.size())
         invariant_fail("Store", "hash index size disagrees with the "

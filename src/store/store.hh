@@ -194,7 +194,18 @@ class Store {
 
     struct Subtable {
         explicit Subtable(NodePool* pool) : tree(TreeAlloc(pool)) {}
-        std::string prefix;  // full group prefix, e.g. "t|00000042|"
+        // The full group prefix, e.g. "t|00000042|": the subtable's own
+        // directory key, which its map node keeps at a stable address.
+        const std::string* prefix = nullptr;
+        // True for a '|'-terminated group, which owns every key starting
+        // with its prefix; false for a one-key group (a key shorter than
+        // its spec's component count is its own group).
+        bool full = false;
+        // The whole-group mark (DESIGN.md §5): the owning join sink has
+        // materialized this group's entire block, so a scan confined to
+        // the block is fresh without consulting the sink's valid set.
+        // Set by the server; erase_range() clears it.
+        bool materialized = false;
         Tree tree;
     };
 
@@ -252,13 +263,49 @@ class Store {
     // Remove every entry with lo <= key < hi (empty hi == +infinity),
     // returning how many were removed. Emptied subtables keep their
     // directory slot: the group will likely refill, and a stable slot is
-    // what hints and the hash index rely on. Invalidates output hints.
+    // what hints and the hash index rely on. Every subtable whose block
+    // meets the range loses its whole-group mark, since part of it may
+    // now be missing. Invalidates output hints.
     size_t erase_range(Str lo, Str hi);
 
     // Visit all entries with lo <= key < hi in key order. An empty `hi`
     // means +infinity. f(const std::string& key, const Entry&).
     template <typename F>
     void scan(Str lo, Str hi, F f) const;
+
+    // The subtable whose group block holds every key of [lo, hi), found
+    // with one hash probe. A group's block is the keys starting with its
+    // '|'-terminated prefix; its end is the prefix with the final '|'
+    // bumped to '}'. Null when subtables are off, when lo routes to no
+    // group or to a one-key group (a key shorter than the group prefix),
+    // when hi is infinite or passes the block's end, or when the group
+    // has no subtable yet.
+    PQ_NOALLOC Subtable* confined_group(Str lo, Str hi);
+    PQ_NOALLOC const Subtable* confined_group(Str lo, Str hi) const;
+
+    // True when [lo, hi) is exactly `sub`'s whole block.
+    static bool is_block(const Subtable& sub, Str lo, Str hi);
+
+    // Writes the end of `sub`'s block into `out`.
+    static void block_end(const Subtable& sub, KeyBuf& out);
+
+    // Visit `sub`'s entries in [lo, hi) in key order: the whole of a scan
+    // that confined_group() placed in `sub`, with no directory walk and
+    // no main-tree merge. f as for scan().
+    template <typename F>
+    static void scan_group(const Subtable& sub, Str lo, Str hi, F f);
+
+    // Visit every subtable in prefix order.
+    template <typename F>
+    void for_each_group(F f) const {
+        for (const auto& dir : tables_)
+            f(dir.second);
+    }
+    template <typename F>
+    void for_each_group(F f) {
+        for (auto& dir : tables_)
+            f(dir.second);
+    }
 
     const MemoryStats& memory_stats() const {
         return stats_;
@@ -300,8 +347,10 @@ class Store {
     uint64_t epoch_ = 1;  // bumped by erase_range to invalidate hints
 
     // Length of `key`'s group prefix, or 0 when the key is not routed.
-    size_t group_length(Str key) const;
-    Subtable* find_or_make_subtable(Str group);
+    // `full` (when non-null) reports whether the group is '|'-terminated
+    // rather than a one-key group.
+    size_t group_length(Str key, bool* full = nullptr) const;
+    Subtable* find_or_make_subtable(Str group, bool full);
     const Subtable* find_subtable(Str group) const;
     // Store `value` (bytes) or adopt `sv` (shared buffer) into `e`,
     // keeping value-byte / shared-reference accounting balanced.
@@ -313,6 +362,13 @@ class Store {
     Entry* put_impl(Str key, Str value, SharedValue* sv, Hint* hint,
                     bool* inserted);
 };
+
+template <typename F>
+void Store::scan_group(const Subtable& sub, Str lo, Str hi, F f) {
+    for (auto it = sub.tree.lower_bound(lo);
+         it != sub.tree.end() && Str(it->first) < hi; ++it)
+        f(it->first, it->second);
+}
 
 template <typename F>
 void Store::scan(Str lo, Str hi, F f) const {

@@ -4,7 +4,8 @@
 // are: Pattern::match binds slots as slices (zero allocations per match),
 // and a hinted eager update on a warmed fan-out sink — the full
 // put -> stab -> apply_update -> expand -> write chain — allocates
-// nothing when it overwrites existing sink entries.
+// nothing when it overwrites existing sink entries, and a hot timeline
+// check of a materialized group allocates nothing at all.
 //
 // Lives in its own test binary because replacing operator new is a
 // whole-program decision that must not leak into the other test suites.
@@ -179,6 +180,36 @@ TEST(AllocGuard, ValueSharingEagerOverwriteIsAllocationFree) {
     EXPECT_EQ(allocs, 0u);
     EXPECT_EQ(server.eager_update_count(),
               eager_before + 100u * followers);
+}
+
+TEST(AllocGuard, HotCheckAllocatesNothing) {
+    // A timeline check inside a materialized (marked) group is one
+    // subtable probe and one tree walk: no valid-set descent, no slot
+    // derivation, no allocation.
+    Server server;
+    server.add_join(
+        "t|<u>|<ts:10>|<p> = check s|<u>|<p> copy p|<p>|<ts:10>");
+    server.put("s|000042|star", "1");
+    for (uint64_t ts = 1; ts <= 4; ++ts)
+        server.put("p|star|" + pad_number(ts, 10), "tweet");
+    std::string lo = "t|000042|";
+    std::string hi = prefix_successor(lo);
+    std::string since = lo + pad_number(2, 10);
+    size_t rows = 0;
+    auto count = [&rows](const std::string&, const ValuePtr&) { ++rows; };
+    server.scan(lo, hi, count);
+    ASSERT_TRUE(server.hot_check_for_test(since, hi));
+    uint64_t mats = server.materialization_count();
+    rows = 0;
+    uint64_t allocs = allocations_after_warmup([&] {
+        for (int i = 0; i < 50; ++i) {
+            server.scan(lo, hi, count);
+            server.scan(since, hi, count);
+        }
+    });
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_EQ(rows, 2u * 50u * (4u + 3u));
+    EXPECT_EQ(server.materialization_count(), mats);
 }
 
 TEST(AllocGuard, HintedAppendAllocatesOnlyNodeAndKey) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/graph.hh"
@@ -582,6 +583,73 @@ TEST(Store, HintCannotMisrouteAcrossGroups) {
     EXPECT_EQ(store.get_ptr("t|ann")->value(), "short");
     EXPECT_EQ(scan_keys(store, "t|", "t}"),
               (std::vector<std::string>{"t|ann", "t|ann|00000001"}));
+}
+
+TEST(Store, ShortKeyGroupEndingInSeparatorIsNotFull) {
+    // With two grouped components, "t|a|" is a one-key group even though
+    // it ends in '|': a hint from it must not route "t|a|b|1" there, and
+    // it is never a confined group.
+    Store store(true);
+    store.set_subtable_components("t|", 2);
+    Store::Hint hint;
+    store.put("t|a|", "short", &hint);
+    store.put("t|a|b|1", "long", &hint);
+    store.verify();
+    ASSERT_NE(store.get_ptr("t|a|b|1"), nullptr);
+    EXPECT_EQ(store.get_ptr("t|a|b|1")->value(), "long");
+    EXPECT_EQ(store.confined_group("t|a|", "t|a}"), nullptr);
+    ASSERT_NE(store.confined_group("t|a|b|", "t|a|b}"), nullptr);
+}
+
+TEST(Store, ConfinedGroupNeedsOneWholeGroupBlock) {
+    Store store(true);
+    store.set_subtable_components("t|", 1);
+    store.put("t|ann|1", "a");
+    store.put("t|bob|1", "b");
+    store.put("t|cat", "short");
+    const Store::Subtable* ann = store.confined_group("t|ann|", "t|ann}");
+    ASSERT_NE(ann, nullptr);
+    EXPECT_EQ(*ann->prefix, "t|ann|");
+    EXPECT_TRUE(Store::is_block(*ann, "t|ann|", "t|ann}"));
+    EXPECT_FALSE(Store::is_block(*ann, "t|ann|0", "t|ann}"));
+    EXPECT_EQ(store.confined_group("t|ann|0", "t|ann|5"), ann);
+    EXPECT_EQ(store.confined_group("t|ann|0", "t|ann}"), ann);
+    // Past the block's end, infinite, spanning, short-key, unrouted,
+    // and not-yet-created groups all decline.
+    EXPECT_EQ(store.confined_group("t|ann|", "t|ann}0"), nullptr);
+    EXPECT_EQ(store.confined_group("t|ann|", ""), nullptr);
+    EXPECT_EQ(store.confined_group("t|ann|", "t|bob|2"), nullptr);
+    EXPECT_EQ(store.confined_group("t|ann", "t|ann}"), nullptr);
+    EXPECT_EQ(store.confined_group("t|cat", "t|cat}"), nullptr);
+    EXPECT_EQ(store.confined_group("u|ann|", "u|ann}"), nullptr);
+    EXPECT_EQ(store.confined_group("t|dan|", "t|dan}"), nullptr);
+    std::vector<std::string> keys;
+    Store::scan_group(*ann, "t|ann|", "t|ann}",
+                      [&](const std::string& k, const Entry&) {
+                          keys.push_back(k);
+                      });
+    EXPECT_EQ(keys, std::vector<std::string>{"t|ann|1"});
+    // Subtables off: nothing is ever confined.
+    Store flat(false);
+    flat.set_subtable_components("t|", 1);
+    flat.put("t|ann|1", "a");
+    EXPECT_EQ(flat.confined_group("t|ann|", "t|ann}"), nullptr);
+}
+
+TEST(Store, EraseRangeClearsMarksOfBlocksItMeets) {
+    Store store(true);
+    store.set_subtable_components("t|", 1);
+    for (const char* u : {"ann", "bob", "cat"})
+        store.put(std::string("t|") + u + "|1", "v");
+    store.for_each_group([](Store::Subtable& sub) { sub.materialized = true; });
+    // Ends exactly at bob's block: ann and bob lose their marks, cat not.
+    store.erase_range("t|ann|5", "t|bob}");
+    std::vector<std::string> marked;
+    store.for_each_group([&](const Store::Subtable& sub) {
+        if (sub.materialized)
+            marked.push_back(*sub.prefix);
+    });
+    EXPECT_EQ(marked, std::vector<std::string>{"t|cat|"});
 }
 
 constexpr const char* kTimelineJoin =
@@ -1324,6 +1392,202 @@ TEST(Rng, Deterministic) {
         EXPECT_LT(x, 1.0);
         EXPECT_LT(c.below(10), 10u);
     }
+}
+
+
+// ---- whole-group marks (DESIGN.md §3, §5) ----------------------------------
+//
+// Every case runs the same operations on a server with subtables (where
+// hot checks read whole-group marks) and on a RangeSet-only oracle with
+// subtables off, and requires equal scans and a clean verify().
+
+using Rows = std::vector<std::pair<std::string, std::string>>;
+
+Rows scan_rows(Server& server, Str lo, Str hi) {
+    Rows rows;
+    server.scan(lo, hi, [&](const std::string& k, const ValuePtr& v) {
+        rows.emplace_back(k, *v);
+    });
+    return rows;
+}
+
+struct MarkPair {
+    explicit MarkPair(bool subtables = true) : marked(config(subtables)),
+                                               oracle(config(false)) {}
+    static ServerConfig config(bool subtables) {
+        ServerConfig c;
+        c.store.enable_subtables = subtables;
+        return c;
+    }
+    void add_join(const std::string& spec) {
+        marked.add_join(spec);
+        oracle.add_join(spec);
+    }
+    void put(const std::string& k, const std::string& v) {
+        marked.put(k, v);
+        oracle.put(k, v);
+    }
+    void invalidate(const std::string& lo, const std::string& hi) {
+        marked.invalidate_range(lo, hi);
+        oracle.invalidate_range(lo, hi);
+    }
+    Rows scan(const std::string& lo, const std::string& hi) {
+        Rows got = scan_rows(marked, lo, hi);
+        EXPECT_EQ(got, scan_rows(oracle, lo, hi)) << "[" << lo << ", " << hi
+                                                  << ")";
+        marked.verify();
+        return got;
+    }
+    bool hot(const std::string& lo, const std::string& hi) const {
+        return marked.hot_check_for_test(lo, hi);
+    }
+    Server marked;
+    Server oracle;
+};
+
+void follow_and_post(MarkPair& p) {
+    p.add_join(kTimelineJoin);
+    for (const char* u : {"ann", "bob", "cat"})
+        p.put(std::string("s|") + u + "|star", "1");
+    for (int ts = 1; ts <= 5; ++ts)
+        p.put("p|star|" + pad_number(static_cast<uint64_t>(ts), 10),
+              "post" + std::to_string(ts));
+}
+
+TEST(GroupMark, MaterializedGroupServesHotChecks) {
+    MarkPair p;
+    follow_and_post(p);
+    EXPECT_FALSE(p.hot("t|ann|", "t|ann}"));
+    EXPECT_EQ(p.scan("t|ann|", "t|ann}").size(), 5u);
+    EXPECT_TRUE(p.hot("t|ann|", "t|ann}"));
+    EXPECT_TRUE(p.hot("t|ann|0000000003", "t|ann}"));
+    uint64_t mats = p.marked.materialization_count();
+    EXPECT_EQ(p.scan("t|ann|0000000003", "t|ann}").size(), 3u);
+    // Eager maintenance keeps a marked group fresh without re-running.
+    p.put("p|star|0000000006", "post6");
+    EXPECT_EQ(p.scan("t|ann|", "t|ann}").size(), 6u);
+    EXPECT_EQ(p.marked.materialization_count(), mats);
+    EXPECT_FALSE(p.hot("t|bob|", "t|bob}"));
+}
+
+TEST(GroupMark, PartialInvalidationInsideMarkedGroup) {
+    MarkPair p;
+    follow_and_post(p);
+    p.scan("t|ann|", "t|ann}");
+    p.scan("t|bob|", "t|bob}");
+    ASSERT_TRUE(p.hot("t|ann|", "t|ann}"));
+    p.invalidate("t|ann|0000000002", "t|ann|0000000004");
+    p.marked.verify();
+    EXPECT_FALSE(p.hot("t|ann|", "t|ann}"));
+    EXPECT_FALSE(p.hot("t|ann|0000000005", "t|ann}"));
+    EXPECT_TRUE(p.hot("t|bob|", "t|bob}"));
+    // The still-valid tail is served from the valid set; the whole block
+    // re-materializes and is marked again.
+    EXPECT_EQ(p.scan("t|ann|0000000005", "t|ann}").size(), 1u);
+    EXPECT_EQ(p.scan("t|ann|", "t|ann}").size(), 5u);
+    EXPECT_TRUE(p.hot("t|ann|", "t|ann}"));
+}
+
+TEST(GroupMark, WholeSinkScanThenPerUserChecks) {
+    MarkPair p;
+    follow_and_post(p);
+    EXPECT_EQ(p.scan("t|", "t}").size(), 15u);
+    // The whole-sink range is no group's block, so nothing is marked
+    // yet; the first covered per-user check marks its group.
+    EXPECT_FALSE(p.hot("t|ann|", "t|ann}"));
+    uint64_t mats = p.marked.materialization_count();
+    for (const char* u : {"ann", "bob", "cat"}) {
+        std::string lo = std::string("t|") + u + "|";
+        EXPECT_EQ(p.scan(lo, prefix_successor(lo)).size(), 5u);
+        EXPECT_TRUE(p.hot(lo, prefix_successor(lo)));
+    }
+    EXPECT_EQ(p.marked.materialization_count(), mats);
+    p.put("p|star|0000000007", "post7");
+    EXPECT_EQ(p.scan("t|cat|", "t|cat}").size(), 6u);
+    p.invalidate("t|", "t}");
+    EXPECT_FALSE(p.hot("t|cat|", "t|cat}"));
+    EXPECT_EQ(p.scan("t|cat|", "t|cat}").size(), 6u);
+}
+
+TEST(GroupMark, ChainedJoinReadsMarkedSource) {
+    MarkPair p;
+    follow_and_post(p);
+    p.add_join("c|<u>|<ts:10>|<p> = copy t|<u>|<ts:10>|<p>");
+    p.scan("t|ann|", "t|ann}");
+    ASSERT_TRUE(p.hot("t|ann|", "t|ann}"));
+    uint64_t mats = p.marked.materialization_count();
+    // The chained sink's freshen of its source finds the mark.
+    EXPECT_EQ(p.scan("c|ann|", "c|ann}").size(), 5u);
+    EXPECT_EQ(p.marked.materialization_count(), mats + 1);
+    EXPECT_TRUE(p.hot("c|ann|", "c|ann}"));
+    p.put("p|star|0000000008", "post8");
+    EXPECT_EQ(p.scan("c|ann|", "c|ann}").size(), 6u);
+    // A suspect source range clears its mark and cascades into the
+    // chained sink's, and one scan re-materializes both.
+    p.invalidate("t|ann|0000000002", "t|ann|0000000003");
+    EXPECT_FALSE(p.hot("t|ann|", "t|ann}"));
+    EXPECT_FALSE(p.hot("c|ann|", "c|ann}"));
+    EXPECT_EQ(p.scan("c|ann|", "c|ann}").size(), 6u);
+    EXPECT_TRUE(p.hot("t|ann|", "t|ann}"));
+    EXPECT_TRUE(p.hot("c|ann|", "c|ann}"));
+}
+
+TEST(GroupMark, SubtablesDisabledNeverMark) {
+    MarkPair p(false);
+    follow_and_post(p);
+    EXPECT_EQ(p.scan("t|ann|", "t|ann}").size(), 5u);
+    EXPECT_FALSE(p.hot("t|ann|", "t|ann}"));
+    EXPECT_EQ(p.scan("t|ann|", "t|ann}").size(), 5u);
+}
+
+TEST(GroupMark, EmptyTimelineFallsBackToValidSet) {
+    MarkPair p;
+    follow_and_post(p);
+    EXPECT_TRUE(p.scan("t|zed|", "t|zed}").empty());
+    // No row, no subtable: the valid set answers.
+    EXPECT_FALSE(p.hot("t|zed|", "t|zed}"));
+    uint64_t mats = p.marked.materialization_count();
+    EXPECT_TRUE(p.scan("t|zed|", "t|zed}").empty());
+    EXPECT_EQ(p.marked.materialization_count(), mats);
+    // Maintenance creates the subtable; the next covered check marks it.
+    p.put("s|zed|star", "1");
+    EXPECT_EQ(p.scan("t|zed|", "t|zed}").size(), 5u);
+    EXPECT_TRUE(p.hot("t|zed|", "t|zed}"));
+}
+
+TEST(GroupMark, ShortOrSpanningScansTakeTheGeneralPath) {
+    MarkPair p;
+    follow_and_post(p);
+    p.scan("t|ann|", "t|ann}");
+    p.scan("t|bob|", "t|bob}");
+    EXPECT_FALSE(p.hot("t|ann", "t|ann}"));
+    EXPECT_FALSE(p.hot("t|ann|", "t|bob|0000000003"));
+    EXPECT_FALSE(p.hot("t|ann|", ""));
+    EXPECT_EQ(p.scan("t|ann", "t|ann}").size(), 5u);
+    EXPECT_EQ(p.scan("t|ann|", "t|bob|0000000003").size(), 7u);
+    EXPECT_EQ(p.scan("t|ann|0000000004", "t|cat|").size(), 7u);
+}
+
+TEST(GroupMark, NarrowMaterializationDoesNotMarkGroup) {
+    MarkPair p;
+    follow_and_post(p);
+    // One timestamp's slice binds more than the group's slot, so it
+    // materializes less than the group's block.
+    EXPECT_EQ(p.scan("t|ann|0000000003|", "t|ann|0000000003}").size(), 1u);
+    EXPECT_FALSE(p.hot("t|ann|", "t|ann}"));
+    EXPECT_FALSE(p.hot("t|ann|0000000003|", "t|ann|0000000003}"));
+    EXPECT_EQ(p.scan("t|ann|", "t|ann}").size(), 5u);
+    EXPECT_TRUE(p.hot("t|ann|", "t|ann}"));
+}
+
+TEST(GroupMark, PullSinkIsNeverMarked) {
+    MarkPair p;
+    p.add_join(
+        "t|<u>|<ts:10>|<p> = pull check s|<u>|<p> copy p|<p>|<ts:10>");
+    p.put("s|ann|star", "1");
+    p.put("p|star|0000000001", "post1");
+    EXPECT_EQ(p.scan("t|ann|", "t|ann}").size(), 1u);
+    EXPECT_FALSE(p.hot("t|ann|", "t|ann}"));
 }
 
 }  // namespace

@@ -116,6 +116,17 @@ TEST(Corruption, StaleUpdaterGroupIsCaught) {
     EXPECT_THROW(server.verify(), InvariantError);
 }
 
+TEST(Corruption, StaleGroupMarkIsCaught) {
+    // A partial invalidation clears ann's mark and leaves her subtable
+    // behind, uncovered; planting the mark back must not verify.
+    Server server;
+    populate_groups(server);
+    server.invalidate_range("t|ann|0000000001", "t|ann|0000000002");
+    server.verify();
+    ASSERT_TRUE(server.plant_stale_group_mark_for_test());
+    EXPECT_THROW(server.verify(), InvariantError);
+}
+
 TEST(Corruption, RangeSetInvertedRangeIsCaught) {
     RangeSet rs;
     rs.add("b", "d");
@@ -281,6 +292,106 @@ TEST(BruteForce, MaterializeInvalidateScheduleMatchesOracle) {
                   covered[kUnits])
             << "step " << step;
     }
+}
+
+TEST(BruteForce, GroupMarksMatchRangeSetOracle) {
+    // One random schedule of follows, posts, scans (per-user, partial,
+    // spanning, whole-sink and chained) and invalidations (sink and base
+    // ranges), run on a server with whole-group marks and on a
+    // RangeSet-only oracle with subtables off. Every scan must agree and
+    // the marked server must verify after every step.
+    ServerConfig flat;
+    flat.store.enable_subtables = false;
+    Server marked;
+    Server oracle(flat);
+    for (Server* s : {&marked, &oracle}) {
+        s->add_join("t|<u>|<ts:10>|<p> = check s|<u>|<p> copy p|<p>|<ts:10>");
+        s->add_join("c|<u>|<ts:10>|<p> = copy t|<u>|<ts:10>|<p>");
+    }
+    constexpr int kUsers = 12;
+    auto user = [](uint64_t u) { return pad_number(u, 3); };
+    auto rows = [](Server& s, const std::string& lo, const std::string& hi) {
+        std::vector<std::pair<std::string, std::string>> out;
+        s.scan(lo, hi, [&](const std::string& k, const ValuePtr& v) {
+            out.emplace_back(k, *v);
+        });
+        return out;
+    };
+    Rng rng(29);
+    uint64_t ts = 0;
+    size_t hot_checks = 0;
+    for (int step = 0; step < 1500; ++step) {
+        std::string a = user(rng.below(kUsers));
+        std::string b = user(rng.below(kUsers));
+        std::string lo, hi;
+        switch (rng.below(10)) {
+        case 0:
+            for (Server* s : {&marked, &oracle})
+                s->put("s|" + a + "|" + b, "1");
+            continue;
+        case 1:
+        case 2:
+            ++ts;
+            for (Server* s : {&marked, &oracle})
+                s->put("p|" + a + "|" + pad_number(ts, 10),
+                       "v" + std::to_string(ts));
+            continue;
+        case 3: {
+            // Invalidate a sink or base range, sometimes the head of a
+            // group; then check the group's still-valid tail, which must
+            // not mark the group.
+            const char* table = rng.below(3) == 0 ? "p|" : "t|";
+            std::string group = table + a + "|";
+            bool head = rng.below(2) != 0;
+            std::string end = head ? group + pad_number(rng.below(ts + 1), 10)
+                                   : prefix_successor(group);
+            for (Server* s : {&marked, &oracle})
+                s->invalidate_range(group, end);
+            ASSERT_NO_THROW(marked.verify()) << "step " << step;
+            if (!head || group[0] != 't')
+                continue;
+            lo = end;
+            hi = prefix_successor(group);
+            break;
+        }
+        case 4:
+            lo = "t|" + std::min(a, b) + "|";
+            hi = "t|" + std::max(a, b) + "}";
+            break;
+        case 5:
+            lo = rng.below(4) ? "c|" + a + "|" : "t|";
+            hi = lo == "t|" ? "t}" : prefix_successor(lo);
+            break;
+        case 6:
+            lo = "t|" + a;  // shorter than the group prefix
+            hi = "t|" + a + "}";
+            break;
+        default:
+            // A whole timeline, its tail, or one timestamp's slice (which
+            // materializes less than the group's block).
+            lo = "t|" + a + "|";
+            switch (rng.below(3)) {
+            case 0:
+                hi = prefix_successor(lo);
+                break;
+            case 1:
+                hi = prefix_successor(lo);
+                lo += pad_number(rng.below(ts + 1), 10);
+                break;
+            default:
+                lo += pad_number(rng.below(ts + 1), 10) + "|";
+                hi = prefix_successor(lo);
+                break;
+            }
+            break;
+        }
+        hot_checks += marked.hot_check_for_test(lo, hi);
+        ASSERT_EQ(rows(marked, lo, hi), rows(oracle, lo, hi))
+            << "step " << step << " [" << lo << ", " << hi << ")";
+        ASSERT_NO_THROW(marked.verify()) << "step " << step;
+    }
+    // The schedule really exercised the hot path.
+    EXPECT_GT(hot_checks, 100u);
 }
 
 // ---- engine reconciliation -------------------------------------------------

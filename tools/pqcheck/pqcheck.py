@@ -15,9 +15,10 @@ compiler cannot. One parse of the tree feeds three rule families
                     common/annotate.hh.
   unreachable       every function with a body under --root that no
                     root reaches. The roots are every name the compdb's
-                    TUs outside --root mention (bench mains, test
-                    cases), or the mains under --root without a compdb.
-                    A tree with no root is not checked.
+                    TUs outside --root (bench mains, test cases) or the
+                    perfbench/*.cc|*.hh files next to --root mention, and
+                    without a compdb the mains under --root. A tree with
+                    no root is not checked.
 
 A finding is suppressed by `// pqcheck: allow(<rule>)` on the same line
 or the line directly above, and every suppression is counted. An allow()
@@ -60,84 +61,91 @@ SANCTIONED_STR_OWNERS = {"OwnedSlots", "KeyBuf", "Entry"}
 HOT_DIRS = ("store", "core", "common", "shard", "persist", "sub")
 
 
+# The next token that leaves plain code, and, per literal kind, the next
+# character that can end (or escape within) the literal.
+CODE_EXIT_RE = re.compile(r"//|/\*|[\"']")
+LITERAL_STOP_RE = {'"': re.compile(r'[\\"\n]'), "'": re.compile(r"[\\'\n]")}
+NON_NEWLINE_RE = re.compile(r"[^\n]")
+
+
+def _blank(text):
+    """`text` with every character but newlines turned into a space."""
+    if "\n" not in text:
+        return " " * len(text)
+    return NON_NEWLINE_RE.sub(" ", text)
+
+
 def strip_code(text):
     """Blank out comments and string/char literals, preserving layout.
 
     Returns (stripped_text, comment_text) where comment_text keeps ONLY
     the comments (for allow() extraction) -- both the same shape as the
-    input so line/column arithmetic holds.
+    input so line/column arithmetic holds. Works a run at a time: each
+    regex search jumps to the next character that can change state.
     """
     out = []
     comments = []
     i, n = 0, len(text)
-    state = "code"  # code | line_comment | block_comment | string | char
     while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == "code":
-            if c == "/" and nxt == "/":
-                state = "line_comment"
-                out.append("  ")
-                comments.append("//")
-                i += 2
-                continue
-            if c == "/" and nxt == "*":
-                state = "block_comment"
-                out.append("  ")
-                comments.append("/*")
-                i += 2
-                continue
-            if c == '"':
-                state = "string"
-                out.append('"')
-                comments.append(" ")
-                i += 1
-                continue
-            if c == "'":
-                state = "char"
-                out.append("'")
-                comments.append(" ")
-                i += 1
-                continue
-            out.append(c)
-            comments.append(c if c == "\n" else " ")
-            i += 1
-        elif state == "line_comment":
-            if c == "\n":
-                state = "code"
+        m = CODE_EXIT_RE.search(text, i)
+        end = m.start() if m else n
+        code = text[i:end]
+        out.append(code)
+        comments.append(_blank(code))
+        if not m:
+            break
+        tok = m.group()
+        i = m.end()
+        if tok == "//":
+            out.append("  ")
+            comments.append("//")
+            nl = text.find("\n", i)
+            stop = n if nl < 0 else nl
+            body = text[i:stop]
+            out.append(" " * len(body))
+            comments.append(body)
+            if nl >= 0:
                 out.append("\n")
                 comments.append("\n")
-            else:
-                out.append(" ")
-                comments.append(c)
-            i += 1
-        elif state == "block_comment":
-            if c == "*" and nxt == "/":
-                state = "code"
+                stop += 1
+            i = stop
+        elif tok == "/*":
+            out.append("  ")
+            comments.append("/*")
+            close = text.find("*/", i)
+            stop = n if close < 0 else close
+            body = text[i:stop]
+            out.append(_blank(body))
+            comments.append(body)
+            if close >= 0:
                 out.append("  ")
                 comments.append("*/")
-                i += 2
-                continue
-            out.append(c if c == "\n" else " ")
-            comments.append(c)
-            i += 1
-        else:  # string or char literal
-            quote = '"' if state == "string" else "'"
-            if c == "\\":
-                out.append("  ")
-                comments.append("  ")
-                i += 2
-                continue
-            if c == quote:
-                state = "code"
-                out.append(quote)
-            elif c == "\n":  # unterminated; resync rather than cascade
-                state = "code"
-                out.append("\n")
-            else:
-                out.append(" ")
-            comments.append(c if c == "\n" else " ")
-            i += 1
+                stop += 2
+            i = stop
+        else:  # a string or char literal
+            out.append(tok)
+            comments.append(" ")
+            stop_re = LITERAL_STOP_RE[tok]
+            while i < n:
+                e = stop_re.search(text, i)
+                stop = n if e is None else e.start()
+                out.append(" " * (stop - i))
+                comments.append(" " * (stop - i))
+                i = stop
+                if e is None:
+                    break
+                c = e.group()
+                if c == "\\":
+                    out.append("  ")
+                    comments.append("  ")
+                    i += 2
+                    continue
+                # The closing quote, or an unterminated literal's newline,
+                # where it resyncs rather than cascading.
+                out.append(c)
+                comments.append("\n" if c == "\n" else " ")
+                i += 1
+                break
     return "".join(out), "".join(comments)
 
 
@@ -162,17 +170,19 @@ class ScopeTracker:
     """
 
     CLASS_RE = re.compile(r"\b(class|struct)\s+([A-Za-z_]\w*)")
+    BRACE_RE = re.compile(r"[;{}]")
 
     def __init__(self):
         self.stack = []  # (kind, name) per open brace; kind: class|other
         self.pending = None  # class name seen, brace not yet opened
 
     def feed(self, line):
-        for m in self.CLASS_RE.finditer(line):
-            # `struct X;` forward declarations never reach a '{' before
-            # the ';' clears them below.
-            self.pending = m.group(2)
-        for c in line:
+        if "class" in line or "struct" in line:
+            for m in self.CLASS_RE.finditer(line):
+                # `struct X;` forward declarations never reach a '{'
+                # before the ';' clears them below.
+                self.pending = m.group(2)
+        for c in self.BRACE_RE.findall(line):
             if c == ";" and self.pending is not None and "{" not in line:
                 self.pending = None
             if c == "{":
@@ -203,7 +213,7 @@ def check_str_member(stripped_lines):
     tracker = ScopeTracker()
     for lineno, line in enumerate(stripped_lines, 1):
         cls = None
-        m = STR_MEMBER_RE.match(line)
+        m = STR_MEMBER_RE.match(line) if "Str" in line else None
         # Member declarations carry no parens; `Str prefix() const` and
         # parameters never match. Classify the scope BEFORE feeding the
         # line so its own braces don't shift the answer.
@@ -230,6 +240,8 @@ def check_hot_string(rel, stripped_lines):
     if len(parts) < 2 or parts[0] not in HOT_DIRS:
         return
     for lineno, line in enumerate(stripped_lines, 1):
+        if "str" not in line:
+            continue  # every pattern below spells it
         for pattern, what in HOT_STRING_RES:
             if pattern.search(line):
                 yield (lineno, "hot-string",
@@ -246,7 +258,7 @@ def check_intervalmap(rel, stripped_lines):
         return  # Table owns the updater maps; Server routes through it
     decl = re.compile(r"\bIntervalMap\s*<")
     for lineno, line in enumerate(stripped_lines, 1):
-        if decl.search(line):
+        if "IntervalMap" in line and decl.search(line):
             yield (lineno, "intervalmap-mutation",
                    "IntervalMap held outside src/core/ mutates outside "
                    "Table's routing; go through Table::updaters() or "
@@ -267,7 +279,7 @@ def check_raw_io(rel, stripped_lines):
     if parts and parts[0] == "persist":
         return  # the File/dir helpers are the sanctioned home
     for lineno, line in enumerate(stripped_lines, 1):
-        m = RAW_IO_RE.search(line)
+        m = RAW_IO_RE.search(line) if "::" in line else None
         if m:
             yield (lineno, "raw-io",
                    "raw ::%s() outside src/persist/; go through "
@@ -467,16 +479,20 @@ def head_class_name(head):
     return names[-1] if names else None
 
 
+BRACKET_RES = {pair: re.compile("[%s]" % re.escape(pair))
+               for pair in ("()", "{}", "<>")}
+
+
 def match_close(text, open_pos, opener, closer):
     """Index of the `closer` balancing text[open_pos] == opener, or -1."""
     depth = 0
-    for i in range(open_pos, len(text)):
-        if text[i] == opener:
+    for m in BRACKET_RES[opener + closer].finditer(text, open_pos):
+        if m.group() == opener:
             depth += 1
-        elif text[i] == closer:
+        else:
             depth -= 1
             if depth == 0:
-                return i
+                return m.start()
     return -1
 
 
@@ -506,6 +522,7 @@ def parse_head_function(head):
     return None
 
 
+PARSE_STOP_RE = re.compile(r"[(){};]")
 USING_RE = re.compile(r"\busing\s+([A-Za-z_]\w*)\s*=\s*([^;]+)$")
 
 
@@ -527,6 +544,11 @@ def parse_file(rel, stripped, line_starts):
     head_start = 0
     paren_depth = 0
     while i < n:
+        # Only these characters move the parser; jump between them.
+        m = PARSE_STOP_RE.search(stripped, i)
+        if m is None:
+            break
+        i = m.start()
         c = stripped[i]
         if c == "(":
             paren_depth += 1
@@ -603,8 +625,29 @@ def _first_code(head):
     return m.start(1) if m else 0
 
 
+SPACE_RE = re.compile(r"\s+")
+WORD_RE = re.compile(r"[A-Za-z_]\w*")
 CHAIN_RE = re.compile(
     r"((?:(?:[A-Za-z_]\w*|\))(?:\[[^][]{0,80}\])?\s*(?:\.|->)\s*)+)$")
+
+
+def _chain_floor(body, end):
+    """A position no CHAIN_RE match ending at `end` can start before.
+
+    A chain holds only identifier characters, whitespace, `.`, `->`,
+    `)` and `[...]` subscripts of at most 80 bracket-free characters, so
+    any other character with no `[` in the 80 before it bounds the
+    chain. Searching from here finds the same leftmost match as
+    searching the whole prefix, without rescanning it on every call."""
+    i = end
+    while i > 0:
+        i -= 1
+        c = body[i]
+        if c.isalnum() or c.isspace() or c in "_.->)[]":
+            continue
+        if "[" not in body[max(0, i - 80):i]:
+            return i + 1
+    return 0
 
 
 def extract_calls(body, body_off, at):
@@ -613,36 +656,51 @@ def extract_calls(body, body_off, at):
         name = m.group("name")
         if name in KEYWORDS or name.startswith("PQ_"):
             continue
-        qual = re.sub(r"\s+", "", m.group("qual") or "")
-        before = body[:m.start()]
+        qual = m.group("qual")
+        qual = SPACE_RE.sub("", qual) if qual else ""
+        start = m.start()
+        prev = start
+        while prev > 0 and body[prev - 1].isspace():
+            prev -= 1
+        last = body[prev - 1] if prev else ""
         chain = None
-        cm = CHAIN_RE.search(before)
+        # A receiver chain ends in `.` or `->` before the name.
+        cm = CHAIN_RE.search(body, _chain_floor(body, start), start) \
+            if last in (".", ">") else None
         if cm is not None:
             # Receiver tokens, outermost first; a ')' link (chained call
             # returns) makes the receiver type unknowable here.
             if ")" in cm.group(1):
                 chain = []
             else:
-                chain = re.findall(r"[A-Za-z_]\w*", cm.group(1))
+                chain = WORD_RE.findall(cm.group(1))
         if chain is None and not qual:
             # `Type name(args)` is a declaration, not a call: the token
             # before the name is a bare identifier/'>' with no operator.
-            prev = before.rstrip()
-            if prev and (prev[-1] == ">" or prev[-1].isalnum()
-                         or prev[-1] == "_"):
-                pm = re.search(r"([A-Za-z_]\w*)\s*$", prev)
-                if pm and pm.group(1) not in KEYWORDS:
+            if last and (last == ">" or last.isalnum() or last == "_"):
+                if _ends_in_identifier(body, prev):
                     continue
-                if prev[-1] == ">":
+                if last == ">":
                     continue
         cls = qual.split("::")[-2] if qual.endswith("::") else (
             qual.split("::")[-1] if qual else None)
         if cls in ("std", "net", "persist", "shard", "distrib", "pequod",
                    "compare", ""):
             cls = None
-        calls.append(Call(name, cls, chain, m.start(),
-                          at(body_off + m.start())))
+        calls.append(Call(name, cls, chain, start, at(body_off + start)))
     return calls
+
+
+def _ends_in_identifier(body, end):
+    """Whether body[:end] ends in an identifier that is not a keyword."""
+    i = end
+    while i > 0 and (body[i - 1].isalnum() or body[i - 1] == "_"):
+        i -= 1
+    # The identifier starts at the first ASCII letter or '_' of the run.
+    while i < end and not (body[i] == "_" or ("a" <= body[i].lower() <= "z"
+                                              and body[i].isascii())):
+        i += 1
+    return i < end and body[i:end] not in KEYWORDS
 
 
 # ---- program / call graph ---------------------------------------------------
@@ -664,6 +722,7 @@ class Program:
         self.file_allows = {}  # rel -> {line: set(rules)}
         self.token_found = []  # token-rule findings
         self.root_refs = set()  # identifiers the TUs outside the root name
+        self._callers = None   # reverse call graph, built on first use
 
     def add_root_file(self, path):
         """A TU outside the root only seeds reachability: no rule runs
@@ -801,21 +860,26 @@ class Program:
             out.extend(self.resolve(f, c))
         return out
 
+    def reverse_calls(self):
+        """callee -> its callers, resolved once and cached."""
+        if self._callers is None:
+            self._callers = {}
+            for f in self.funcs:
+                for g in self.callees(f):
+                    self._callers.setdefault(g, []).append(f)
+        return self._callers
+
 
 def transitive_reachers(program, targets):
     """Set of funcs that can reach (or are) one of `targets`."""
+    callers = program.reverse_calls()
     reach = set(targets)
-    changed = True
-    while changed:
-        changed = False
-        for f in program.funcs:
-            if f in reach:
-                continue
-            for g in program.callees(f):
-                if g in reach:
-                    reach.add(f)
-                    changed = True
-                    break
+    stack = list(reach)
+    while stack:
+        for f in callers.get(stack.pop(), ()):
+            if f not in reach:
+                reach.add(f)
+                stack.append(f)
     return reach
 
 
@@ -1138,6 +1202,17 @@ def read_compdb(compdb_path, root, files):
     return len(inside), [t for t in inside if t not in analyzed], outside
 
 
+def bench_files(root):
+    """The perfbench/ sources next to the root. perfbench is its own CMake
+    project, absent from the compdb, but what it calls is reached all the
+    same, so its files seed reachability like a TU outside the root."""
+    bench = os.path.join(os.path.dirname(os.path.abspath(root)), "perfbench")
+    if not os.path.isdir(bench):
+        return []
+    return [os.path.join(bench, name) for name in sorted(os.listdir(bench))
+            if name.endswith((".cc", ".hh"))]
+
+
 def suppress(found, file_allows):
     """Report dicts for `found`, plus one stale-suppression per allow()
     rule that suppressed nothing or names no rule."""
@@ -1203,7 +1278,7 @@ def main(argv):
     program = Program()
     for path in files:
         program.add_file(path, args.root)
-    for path in outside:
+    for path in outside + bench_files(args.root):
         program.add_root_file(path)
     program.finish()
 

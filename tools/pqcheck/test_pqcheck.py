@@ -47,12 +47,16 @@ def expected_findings(case_dir):
 
 def run_case(case_dir):
     name = os.path.basename(case_dir)
+    # A case with a src/ directory analyzes that, so files beside it (a
+    # perfbench/ tree, say) play the parts they play next to the real src.
+    src = os.path.join(case_dir, "src")
+    root = src if os.path.isdir(src) else case_dir
     with tempfile.NamedTemporaryFile(mode="r", suffix=".json",
                                      delete=False) as tmp:
         report_path = tmp.name
     try:
         proc = subprocess.run(
-            [sys.executable, PQCHECK, "--root", case_dir,
+            [sys.executable, PQCHECK, "--root", root,
              "--json", report_path],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         with open(report_path, encoding="utf-8") as f:
@@ -60,7 +64,7 @@ def run_case(case_dir):
     finally:
         os.unlink(report_path)
 
-    expected = expected_findings(case_dir)
+    expected = expected_findings(root)
     actual = {(v["file"], v["line"], v["rule"])
               for v in report["violations"] if not v["suppressed"]}
 
