@@ -121,6 +121,44 @@ TEST(Wal, RecordsRoundTrip) {
     EXPECT_EQ(records[3].second, "P" + std::string(3000, 'x'));
 }
 
+// The on-disk WAL format is a compatibility contract: logs written by
+// an older build must replay under a newer one. A fixed record stream
+// (one- and two-byte length varints, an empty value, an erase) must
+// produce exactly these segment bytes.
+TEST(Wal, SegmentBytesMatchGoldenEncoding) {
+    TempDir td;
+    WalConfig wc;
+    wc.dir = td.sub("wal");
+    {
+        Wal wal(wc);
+        wal.append_put("k|1", "v1");
+        wal.append_put("k|2", "");
+        wal.append_erase("k|1", "k|2");
+        wal.append_put("k|long", std::string(130, 'x'));
+        wal.flush();
+    }
+    auto segs = Wal::segments_in(wc.dir);
+    ASSERT_EQ(segs.size(), 1u);
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(read_file(Wal::segment_path(wc.dir, segs[0]), bytes));
+    std::string hex;
+    for (uint8_t b : bytes) {
+        char two[3];
+        std::snprintf(two, sizeof two, "%02x", b);
+        hex += two;
+    }
+    std::string long_value;
+    for (int i = 0; i != 130; ++i)
+        long_value += "78";  // 'x'
+    // Each record: [varint len][op][klen][key][vlen][value][crc32c LE].
+    const std::string golden =
+        std::string("08" "01036b7c31027631" "593dd79c")
+        + "06" "01036b7c3200" "21b8cb8f"
+        + "09" "02036b7c31036b7c32" "98930322"
+        + "8c01" "01066b7c6c6f6e678201" + long_value + "014f1594";
+    EXPECT_EQ(hex, golden);
+}
+
 TEST(Wal, GroupCommitBatchesFsyncs) {
     TempDir td;
     WalConfig wc;
