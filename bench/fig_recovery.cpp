@@ -5,7 +5,11 @@
 //      operation against one fsync per 64-op batch, same record stream.
 //   2. Recovery time as a function of WAL length, replayed into a live
 //      engine (normalized to seconds per 1M records).
-//   3. Warm-restart freshness: a persistent base/compute cluster is
+//   3. Checkpoint write and load: snapshot `replay_records` base pairs
+//      (27-byte keys, 32-byte values) through Persistence::checkpoint,
+//      then load them back through Persistence::recover (normalized to
+//      seconds per 1M records, plus the file's bytes per entry).
+//   4. Warm-restart freshness: a persistent base/compute cluster is
 //      power-failed and restarted; the figure records whether a
 //      previously materialized timeline is byte-identical afterwards.
 //
@@ -15,7 +19,9 @@
 // BENCH_micro.json under figures.fig_recovery:
 //
 //   fig_recovery summary: fsync_batch_speedup=<f>x unbatched_qps=<n>
-//     batched_qps=<n> recovery_s_per_1m=<f> warm_restart_fresh=<0|1>
+//     batched_qps=<n> recovery_s_per_1m=<f> ckpt_write_s_per_1m=<f>
+//     ckpt_load_s_per_1m=<f> ckpt_bytes_per_entry=<f>
+//     warm_restart_fresh=<0|1>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -125,6 +131,75 @@ double timed_recovery_s(uint64_t records) {
     return elapsed;
 }
 
+struct CheckpointTiming {
+    double write_s = 0;
+    double load_s = 0;
+    uint64_t file_bytes = 0;
+};
+
+// Checkpoint `entries` pairs into an empty store directory, then load
+// the checkpoint back through recovery. The keys live in one flat
+// buffer so the harness itself adds no per-entry allocation.
+CheckpointTiming timed_checkpoint(uint64_t entries) {
+    constexpr size_t kKeyBytes = 27;
+    std::string keys;
+    keys.reserve(entries * kKeyBytes);
+    for (uint64_t i = 0; i != entries; ++i) {
+        char key[kKeyBytes + 1];
+        std::snprintf(key, sizeof key, "p|%012llu|%012llu",
+                      static_cast<unsigned long long>(i % 1000),
+                      static_cast<unsigned long long>(i));
+        keys.append(key, kKeyBytes);
+    }
+    const std::string value(32, 'v');
+    std::string dir = scratch_dir();
+    CheckpointTiming t;
+    {
+        persist::PersistConfig pc;
+        pc.dir = dir;
+        {
+            persist::Persistence p(pc);
+            p.recover([](Str, Str) {}, [](Str, Str) {});
+            auto start = std::chrono::steady_clock::now();
+            bool ok = p.checkpoint(
+                [&](FnRef<void(Str, Str)> emit) {
+                    for (uint64_t i = 0; i != entries; ++i)
+                        emit(Str(keys.data() + i * kKeyBytes, kKeyBytes),
+                             Str(value));
+                });
+            t.write_s = seconds_since(start);
+            if (!ok) {
+                std::fprintf(stderr, "fig_recovery: checkpoint failed\n");
+                std::exit(1);
+            }
+        }
+        for (const auto& entry : std::filesystem::directory_iterator(dir))
+            if (entry.path().filename().string().rfind("ckpt-", 0) == 0)
+                t.file_bytes += entry.file_size();
+        persist::Persistence p(pc);
+        uint64_t loaded = 0;
+        auto start = std::chrono::steady_clock::now();
+        persist::RecoverResult r = p.recover(
+            [&loaded](Str key, Str v) {
+                loaded += key.size() + v.size();
+            },
+            [](Str, Str) {});
+        t.load_s = seconds_since(start);
+        if (r.checkpoint_entries != entries
+            || loaded != entries * (kKeyBytes + value.size())) {
+            std::fprintf(stderr,
+                         "fig_recovery: checkpoint loaded %llu of %llu "
+                         "entries\n",
+                         static_cast<unsigned long long>(
+                             r.checkpoint_entries),
+                         static_cast<unsigned long long>(entries));
+            std::exit(1);
+        }
+    }
+    drop_dir(dir);
+    return t;
+}
+
 // Power-fail and restart a persistent cluster; returns true if a
 // materialized timeline reads back byte-identical afterwards.
 bool warm_restart_fresh() {
@@ -208,6 +283,20 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
 
+    CheckpointTiming ckpt = timed_checkpoint(replay_records);
+    double per_1m = 1e6 / static_cast<double>(replay_records);
+    double ckpt_bytes_per_entry = static_cast<double>(ckpt.file_bytes)
+        / static_cast<double>(replay_records);
+    std::printf("%-24s %10s %14s\n", "checkpoint", "seconds",
+                "s per 1M");
+    std::printf("%-24s %10.3f %14.3f\n", "write", ckpt.write_s,
+                ckpt.write_s * per_1m);
+    std::printf("%-24s %10.3f %14.3f\n", "load", ckpt.load_s,
+                ckpt.load_s * per_1m);
+    std::printf("%-24s %10llu %14.1f\n\n", "file bytes (per entry)",
+                static_cast<unsigned long long>(ckpt.file_bytes),
+                ckpt_bytes_per_entry);
+
     bool fresh = warm_restart_fresh();
     std::printf("warm restart: materialized timeline %s after power "
                 "fail + recovery\n\n",
@@ -215,8 +304,11 @@ int main(int argc, char** argv) {
 
     std::printf("fig_recovery summary: fsync_batch_speedup=%.1fx "
                 "unbatched_qps=%.0f batched_qps=%.0f "
-                "recovery_s_per_1m=%.3f warm_restart_fresh=%d\n",
+                "recovery_s_per_1m=%.3f ckpt_write_s_per_1m=%.3f "
+                "ckpt_load_s_per_1m=%.3f ckpt_bytes_per_entry=%.1f "
+                "warm_restart_fresh=%d\n",
                 speedup, unbatched, batched, s_per_1m,
-                fresh ? 1 : 0);
+                ckpt.write_s * per_1m, ckpt.load_s * per_1m,
+                ckpt_bytes_per_entry, fresh ? 1 : 0);
     return fresh ? 0 : 1;
 }

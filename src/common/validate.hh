@@ -34,11 +34,6 @@ class InvariantError : public std::logic_error {
     throw InvariantError(std::string(where) + ": " + detail);
 }
 
-inline void invariant(bool ok, const char* where, const char* detail) {
-    if (!ok)
-        invariant_fail(where, detail);
-}
-
 #if PEQUOD_VALIDATE
 inline constexpr bool kValidateBuild = true;
 // Run `stmt` (typically a verify() call) after a mutation.

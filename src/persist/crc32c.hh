@@ -1,7 +1,7 @@
 // CRC32C (Castagnoli) for durable-record integrity (DESIGN.md §13).
-// Every WAL record and every checkpoint block carries a CRC32C over its
-// payload, so a torn write, a bit flip at rest, or in-memory corruption
-// of a cached block is detected before the bytes are ever served.
+// Every record frame (WAL, checkpoint, MANIFEST) carries a CRC32C over
+// its payload, so a torn write or a bit flip at rest is detected before
+// the bytes are ever served.
 // Software table-driven implementation: the table is built once at
 // static-init time; throughput is far beyond what the fsync-bound write
 // path can generate.

@@ -1,5 +1,5 @@
 // The one place in the tree that touches raw file descriptors. Every
-// other directory goes through the WAL/blockstore API; pqcheck's raw-io
+// other directory goes through the WAL/Persistence API; pqcheck's raw-io
 // rule enforces the boundary, so all durability reasoning (what is
 // fsynced when, what a crash can tear) concentrates here and in the two
 // classes built on top.
@@ -22,7 +22,8 @@ namespace persist {
 
 // Failure of an operation the durability contract depends on (open,
 // write, fsync, rename). Distinct from data corruption, which is a
-// detected condition the recovery paths handle, not an exception.
+// detected condition the recovery paths handle, not an exception — save
+// a corrupt MANIFEST, which leaves nothing to fall back to.
 class IoError : public std::runtime_error {
   public:
     IoError(const std::string& what, int err)
@@ -82,21 +83,6 @@ class File {
                 throw IoError("write", errno);
             }
             p += w;
-            n -= static_cast<size_t>(w);
-        }
-    }
-
-    void pwrite_all(const void* data, size_t n, uint64_t offset) {
-        const char* p = static_cast<const char*>(data);
-        while (n != 0) {
-            ssize_t w = ::pwrite(fd_, p, n, static_cast<off_t>(offset));
-            if (w < 0) {
-                if (errno == EINTR)
-                    continue;
-                throw IoError("pwrite", errno);
-            }
-            p += w;
-            offset += static_cast<uint64_t>(w);
             n -= static_cast<size_t>(w);
         }
     }

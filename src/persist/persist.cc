@@ -1,15 +1,16 @@
 #include "persist/persist.hh"
 
 #include <cstdio>
-#include <utility>
 #include <vector>
 
-#include "persist/crc32c.hh"
+#include "persist/record.hh"
 
 namespace pequod {
 namespace persist {
 
 namespace {
+
+constexpr size_t kCheckpointChunk = 64 * 1024;  // bytes per write(2)
 
 WalConfig make_wal_config(const PersistConfig& config) {
     WalConfig wc;
@@ -20,80 +21,92 @@ WalConfig make_wal_config(const PersistConfig& config) {
     return wc;
 }
 
-bool read_varint_at(const std::vector<uint8_t>& b, size_t& pos,
-                    uint64_t& out) {
-    uint64_t v = 0;
-    int shift = 0;
-    while (pos < b.size() && shift < 64) {
-        uint8_t c = b[pos++];
-        v |= static_cast<uint64_t>(c & 0x7f) << shift;
-        if (!(c & 0x80)) {
-            out = v;
-            return true;
+// Atomic replace: make the written tmp file durable, then rename it over
+// `path` and fsync the directory, so `path` names either its old bytes
+// or every new one, never a prefix.
+void publish(File& f, const std::string& tmp, const std::string& path,
+             const std::string& dir) {
+    f.fsync();
+    f.close();
+    rename_file(tmp, path);
+    sync_dir(dir);
+}
+
+// Walk a checkpoint image: put records, then a seal whose entry count
+// matches, ending exactly at end of file; anything else (a torn or
+// corrupt record, a missing or early seal, a wrong count) refuses it.
+// `put` sees each pair as it is read, so a caller that must not
+// half-apply a checkpoint verifies it first with a no-op.
+bool walk_checkpoint(const std::vector<uint8_t>& bytes,
+                     FnRef<void(Str, Str)> put) {
+    RecordReader reader(bytes);
+    Record rec;
+    uint64_t entries = 0;
+    while (reader.next(rec)) {
+        if (rec.op == Record::kSeal) {
+            size_t pos = 0;
+            uint64_t sealed = 0;
+            return read_varint(
+                       reinterpret_cast<const uint8_t*>(rec.key.data()),
+                       rec.key.size(), pos, sealed)
+                && pos == rec.key.size() && sealed == entries
+                && reader.at_end();
         }
-        shift += 7;
+        if (rec.op != Record::kPut)
+            return false;
+        put(rec.key, rec.value);
+        ++entries;
     }
-    return false;
+    return false;  // torn, corrupt, or never sealed
 }
 
 }  // namespace
 
 Persistence::Persistence(const PersistConfig& config)
-    : config_(config), wal_((make_dir(config.dir), make_wal_config(config))) {
-    load_manifest(manifest_);
-}
+    : config_(config),
+      manifest_(load_manifest(config.dir)),
+      wal_((make_dir(config.dir), make_wal_config(config))) {}
 
 std::string Persistence::ckpt_path(uint64_t id) const {
     char name[32];
-    std::snprintf(name, sizeof name, "ckpt-%06llu.blk",
+    std::snprintf(name, sizeof name, "ckpt-%06llu.ckpt",
                   static_cast<unsigned long long>(id));
     return config_.dir + "/" + name;
 }
 
-bool Persistence::load_manifest(Manifest& m) const {
+Persistence::Manifest Persistence::load_manifest(const std::string& dir) {
+    Manifest m;
+    const std::string path = dir + "/MANIFEST";
     std::vector<uint8_t> bytes;
-    if (!read_file(config_.dir + "/MANIFEST", bytes) || bytes.size() < 4)
-        return false;
-    uint32_t want = static_cast<uint32_t>(bytes[0])
-        | static_cast<uint32_t>(bytes[1]) << 8
-        | static_cast<uint32_t>(bytes[2]) << 16
-        | static_cast<uint32_t>(bytes[3]) << 24;
-    if (crc32c(bytes.data() + 4, bytes.size() - 4) != want)
-        return false;
-    size_t pos = 4;
-    Manifest parsed;
-    if (!read_varint_at(bytes, pos, parsed.ckpt_id)
-        || !read_varint_at(bytes, pos, parsed.wal_start)
-        || !read_varint_at(bytes, pos, parsed.prev_id)
-        || !read_varint_at(bytes, pos, parsed.prev_start)
-        || !read_varint_at(bytes, pos, parsed.generation))
-        return false;
-    m = parsed;
-    return true;
+    if (!read_file(path, bytes))
+        return m;  // fresh start
+    // Present but unreadable is not a fresh start: the checkpoints and
+    // log cut it names would be silently dropped. Fail closed.
+    RecordReader reader(bytes);
+    const uint8_t* p = nullptr;
+    size_t n = 0, pos = 0;
+    if (!reader.next_frame(p, n) || !reader.at_end()
+        || !read_varint(p, n, pos, m.ckpt_id)
+        || !read_varint(p, n, pos, m.wal_start)
+        || !read_varint(p, n, pos, m.prev_id)
+        || !read_varint(p, n, pos, m.prev_start)
+        || !read_varint(p, n, pos, m.generation) || pos != n)
+        throw IoError("corrupt " + path, EBADMSG);
+    return m;
 }
 
 void Persistence::store_manifest(const Manifest& m) const {
-    net::Buffer payload;
+    net::Buffer payload, frame;
     payload.write_varint(m.ckpt_id);
     payload.write_varint(m.wal_start);
     payload.write_varint(m.prev_id);
     payload.write_varint(m.prev_start);
     payload.write_varint(m.generation);
-    uint32_t crc = crc32c(payload.data(), payload.size());
-    uint8_t crc_bytes[4] = {
-        static_cast<uint8_t>(crc), static_cast<uint8_t>(crc >> 8),
-        static_cast<uint8_t>(crc >> 16), static_cast<uint8_t>(crc >> 24)};
-    // Atomic replace: the manifest either names the old checkpoint or
-    // the new one, never a half-written record.
+    append_frame(frame, payload.data(), payload.size());
     const std::string tmp = config_.dir + "/MANIFEST.tmp";
-    {
-        File f = File::create(tmp);
-        f.write_all(crc_bytes, sizeof crc_bytes);
-        f.write_all(payload.data(), payload.size());
-        f.fsync();
-    }
-    rename_file(tmp, config_.dir + "/MANIFEST");
-    sync_dir(config_.dir);
+    File f = File::create(tmp);
+    f.write_all(frame.data(), frame.size());
+    publish(f, tmp, config_.dir + "/MANIFEST", config_.dir);
 }
 
 bool Persistence::checkpoint(
@@ -104,30 +117,42 @@ bool Persistence::checkpoint(
     wal_.flush();
     uint64_t cut = wal_.rotate();
 
+    // Until the rename, a crash leaves only the tmp file, which no
+    // recovery reads.
     uint64_t id = manifest_.ckpt_id + 1;
     const std::string path = ckpt_path(id);
+    const std::string tmp = path + ".tmp";
     {
-        BlockWriter writer(path, config_.block_size);
+        File f = File::create(tmp);
+        net::Buffer out, scratch;
+        uint64_t entries = 0;
         auto emit = [&](Str key, Str value) {
-            writer.add(key, value);
+            append_entry(out, scratch, Record::kPut, key, value);
+            ++entries;
+            if (out.size() >= kCheckpointChunk) {
+                f.write_all(out.data(), out.size());
+                out.clear();
+            }
         };
         enumerate(FnRef<void(Str, Str)>(emit));
-        writer.finish();
+        net::Buffer count;
+        count.write_varint(entries);
+        append_entry(out, scratch, Record::kSeal,
+                     Str(reinterpret_cast<const char*>(count.data()),
+                         count.size()),
+                     Str());
+        f.write_all(out.data(), out.size());
+        publish(f, tmp, path, config_.dir);
     }
 
-    // Read-back verification: only a checkpoint whose every block passes
-    // its CRC may become current (and authorize deleting history).
-    {
-        BlockStoreConfig bc;
-        bc.path = path;
-        bc.block_size = config_.block_size;
-        bc.cache_budget = config_.cache_budget;
-        BlockStore store(bc);
-        auto sink = [](Str, Str) {};
-        if (!store.ok() || !store.scan(FnRef<void(Str, Str)>(sink))) {
-            remove_file(path);
-            return false;
-        }
+    // Read-back verification through the recovery loader: only a
+    // checkpoint that verifies may become current (and authorize
+    // deleting history).
+    std::vector<uint8_t> bytes;
+    RecoverResult ignored;
+    if (!load_checkpoint(id, bytes, ignored)) {
+        remove_file(path);
+        return false;
     }
 
     uint64_t dropped = manifest_.prev_id;  // falls off the two-deep window
@@ -148,54 +173,31 @@ bool Persistence::checkpoint(
     return true;
 }
 
-bool Persistence::load_checkpoint(
-        uint64_t id,
-        std::vector<std::pair<std::string, std::string>>& pairs,
-        RecoverResult& result) {
-    if (id == 0)
+bool Persistence::load_checkpoint(uint64_t id, std::vector<uint8_t>& bytes,
+                                  RecoverResult& result) const {
+    if (id == 0 || !read_file(ckpt_path(id), bytes))
         return false;
-    BlockStoreConfig bc;
-    bc.path = ckpt_path(id);
-    bc.block_size = config_.block_size;
-    bc.cache_budget = config_.cache_budget;
-    BlockStore store(bc);
-    if (!store.ok()) {
-        if (file_exists(bc.path))
-            ++result.corrupt_blocks;
-        return false;
-    }
-    pairs.clear();
-    // Recovery-time staging, not the write path: the copies let a
-    // checkpoint that fails mid-scan be discarded without side effects.
-    auto stage = [&](Str key, Str value) {
-        // pqcheck: allow(hot-string)
-        pairs.emplace_back(std::string(key.data(), key.size()),
-                           // pqcheck: allow(hot-string)
-                           std::string(value.data(), value.size()));
-    };
-    bool complete = store.scan(FnRef<void(Str, Str)>(stage));
-    if (!complete) {
-        result.corrupt_blocks += store.cache_stats().corrupt_disk;
-        pairs.clear();
-        return false;
-    }
-    return true;
+    auto skip = [](Str, Str) {};
+    if (walk_checkpoint(bytes, FnRef<void(Str, Str)>(skip)))
+        return true;
+    ++result.corrupt_checkpoints;
+    return false;
 }
 
 RecoverResult Persistence::recover(FnRef<void(Str, Str)> put,
                                    FnRef<void(Str, Str)> erase) {
     RecoverResult result;
 
-    // Pick the newest checkpoint that verifies end to end. Pairs are
-    // staged, not applied, so a checkpoint that turns out corrupt at
-    // block 40 of 50 leaves no partial state behind.
-    std::vector<std::pair<std::string, std::string>> staged;
+    // Pick the newest checkpoint that verifies end to end. Verification
+    // finishes before anything is applied, so a checkpoint that turns
+    // out corrupt at its last record leaves no partial state behind.
+    std::vector<uint8_t> ckpt;
     uint64_t wal_from = 0;
     uint64_t used_ckpt = 0;
-    if (load_checkpoint(manifest_.ckpt_id, staged, result)) {
+    if (load_checkpoint(manifest_.ckpt_id, ckpt, result)) {
         used_ckpt = manifest_.ckpt_id;
         wal_from = manifest_.wal_start;
-    } else if (load_checkpoint(manifest_.prev_id, staged, result)) {
+    } else if (load_checkpoint(manifest_.prev_id, ckpt, result)) {
         used_ckpt = manifest_.prev_id;
         wal_from = manifest_.prev_start;
         result.used_fallback = true;
@@ -205,24 +207,28 @@ RecoverResult Persistence::recover(FnRef<void(Str, Str)> put,
         wal_from = 0;
     }
 
-    for (const auto& kv : staged)
-        put(Str(kv.first), Str(kv.second));
-    result.checkpoint_entries = staged.size();
+    if (used_ckpt != 0) {
+        auto apply = [&](Str key, Str value) {
+            put(key, value);
+            ++result.checkpoint_entries;
+        };
+        walk_checkpoint(ckpt, FnRef<void(Str, Str)>(apply));
+    }
 
-    auto apply = [&](const WalRecord& rec) {
-        if (rec.op == WalRecord::kPut)
+    auto replay = [&](const Record& rec) {
+        if (rec.op == Record::kPut)
             put(rec.key, rec.value);
         else
             erase(rec.key, rec.value);
     };
     ReplayResult rr = Wal::replay(config_.dir + "/wal", wal_from,
-                                  FnRef<void(const WalRecord&)>(apply));
+                                  FnRef<void(const Record&)>(replay));
     result.wal_records = rr.records;
     result.wal_tail_clean = rr.clean;
 
     // If the current checkpoint was passed over, adopt the one actually
     // used and delete the corrupt file, so the next checkpoint() chains
-    // prev correctly and nothing ever falls back onto known-bad blocks.
+    // prev correctly and nothing ever falls back onto a known-bad file.
     Manifest next = manifest_;
     if (result.used_fallback) {
         if (manifest_.ckpt_id != used_ckpt && manifest_.ckpt_id != 0)

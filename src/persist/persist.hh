@@ -6,29 +6,37 @@
 //  - base (client-written) data is durable once the WAL batch holding
 //    it flushed; derived sinks are never persisted — they re-materialize
 //    lazily from recovered base data on the next scan;
-//  - checkpoint(): snapshot the base tables into a checksummed block
+//  - checkpoint(): snapshot the base tables into a sealed checkpoint
 //    file, then truncate the WAL. Two checkpoints are retained: segments
 //    and the previous checkpoint are deleted only once a *newer*
 //    checkpoint has verifiably replaced them, so a corrupt current
 //    checkpoint can always fall back to the previous one plus a longer
 //    WAL replay;
-//  - recover(): load the newest checkpoint whose every block passes its
-//    CRC (falling back as needed), then replay the WAL from that
+//  - recover(): load the newest checkpoint that verifies end to end
+//    (falling back as needed), then replay the WAL from that
 //    checkpoint's cut, stopping cleanly at a torn tail. A durable
 //    restart counter (the base server's generation) is bumped and
 //    persisted on every recovery, so subscribers always observe the
 //    restart.
+//
+// All three files (WAL segments, checkpoints, MANIFEST) are runs of the
+// one checksummed record format (persist/record.hh). A checkpoint is
+// put records plus a final seal carrying the entry count; it counts only
+// if every record verifies, the seal is last with a matching count, and
+// the seal ends exactly at end of file. A missing MANIFEST is a fresh
+// start; a present but corrupt one fails closed (IoError), since
+// guessing would silently drop checkpointed data.
 #ifndef PEQUOD_PERSIST_PERSIST_HH
 #define PEQUOD_PERSIST_PERSIST_HH
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/annotate.hh"
 #include "common/fnref.hh"
 #include "common/str.hh"
-#include "persist/blockstore.hh"
 #include "persist/wal.hh"
 
 namespace pequod {
@@ -41,8 +49,6 @@ struct PersistConfig {
     size_t wal_segment_bytes = 1 << 20;
     size_t wal_flush_interval_ops = 64;
     bool wal_fsync = true;
-    size_t block_size = 4096;
-    size_t cache_budget = 64 * 4096;
 
     bool enabled() const {
         return !dir.empty();
@@ -56,11 +62,12 @@ struct RecoverResult {
     uint64_t generation = 1;
     bool used_fallback = false;  // newest checkpoint corrupt; older used
     bool wal_tail_clean = true;  // replay hit no torn/corrupt record
-    uint64_t corrupt_blocks = 0;  // detected and refused, never served
+    uint64_t corrupt_checkpoints = 0;  // detected and refused, never served
 };
 
 class Persistence {
   public:
+    // Throws IoError when the MANIFEST exists but does not verify.
     explicit Persistence(const PersistConfig& config);
 
     // Hot-path logging; group commit per the WAL config.
@@ -108,19 +115,17 @@ class Persistence {
         uint64_t generation = 0;   // completed recoveries
     };
 
-    std::string ckpt_path(uint64_t id) const;
-    bool load_manifest(Manifest& m) const;
+    static Manifest load_manifest(const std::string& dir);
     void store_manifest(const Manifest& m) const;
-    // Scan checkpoint `id` fully into `pairs`; false on any corrupt
-    // block (pairs is then discarded by the caller).
-    bool load_checkpoint(uint64_t id,
-                         std::vector<std::pair<std::string, std::string>>&
-                             pairs,
-                         RecoverResult& result);
+    std::string ckpt_path(uint64_t id) const;
+    // Read checkpoint `id` into `bytes` and verify it end to end; false
+    // when it is absent or refused (counted in `result`).
+    bool load_checkpoint(uint64_t id, std::vector<uint8_t>& bytes,
+                         RecoverResult& result) const;
 
     PersistConfig config_;
-    Wal wal_;
     Manifest manifest_;
+    Wal wal_;
 };
 
 }  // namespace persist

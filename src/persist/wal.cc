@@ -5,36 +5,8 @@
 #include <filesystem>
 #include <stdexcept>
 
-#include "persist/crc32c.hh"
-
 namespace pequod {
 namespace persist {
-
-namespace {
-
-// Varint reader over a raw byte range with explicit truncation
-// signalling — net::Buffer's reader clamps at end-of-buffer, which is
-// right for trusted frames but would mistake a torn tail for a zero.
-// `limit` bounds the read: the buffer end for record framing, the
-// record end for payload decode (a varint must not leak past its
-// record into the CRC or the next record's bytes).
-bool read_varint_at(const std::vector<uint8_t>& b, size_t limit,
-                    size_t& pos, uint64_t& out) {
-    uint64_t v = 0;
-    int shift = 0;
-    while (pos < limit && shift < 64) {
-        uint8_t c = b[pos++];
-        v |= static_cast<uint64_t>(c & 0x7f) << shift;
-        if (!(c & 0x80)) {
-            out = v;
-            return true;
-        }
-        shift += 7;
-    }
-    return false;  // ran off the end mid-varint (or overlong encoding)
-}
-
-}  // namespace
 
 std::string Wal::segment_path(const std::string& dir, uint64_t segment) {
     char name[32];
@@ -93,21 +65,15 @@ void Wal::open_segment(uint64_t segment) {
 }
 
 void Wal::append_put(Str key, Str value) {
-    append_record(WalRecord::kPut, key, value);
+    append_record(Record::kPut, key, value);
 }
 
 void Wal::append_erase(Str lo, Str hi) {
-    append_record(WalRecord::kErase, lo, hi);
+    append_record(Record::kErase, lo, hi);
 }
 
-void Wal::append_record(WalRecord::Op op, Str a, Str b) {
-    scratch_.clear();
-    scratch_.write_varint(op);
-    scratch_.write_string(a);
-    scratch_.write_string(b);
-    batch_.write_varint(scratch_.size());
-    batch_.write_bytes(scratch_.data(), scratch_.size());
-    batch_.write_u32(crc32c(scratch_.data(), scratch_.size()));
+void Wal::append_record(Record::Op op, Str a, Str b) {
+    append_entry(batch_, scratch_, op, a, b);
     ++stats_.appended_ops;
     if (++buffered_ops_ >= config_.flush_interval_ops)
         flush();
@@ -154,98 +120,45 @@ void Wal::simulate_crash() {
 }
 
 ReplayResult Wal::replay(const std::string& dir, uint64_t from_segment,
-                         FnRef<void(const WalRecord&)> handler) {
+                         FnRef<void(const Record&)> handler) {
     ReplayResult result;
     std::vector<uint8_t> bytes;
     std::vector<uint64_t> segs = segments_in(dir);
     for (uint64_t seg : segs) {
-        if (seg < from_segment)
-            continue;
-        if (!read_file(segment_path(dir, seg), bytes))
+        if (seg < from_segment || !read_file(segment_path(dir, seg), bytes))
             continue;
         ++result.segments;
-        size_t pos = 0;
-        bool stopped = false;
-        while (pos < bytes.size()) {
-            size_t record_start = pos;
-            auto stop = [&](const char* why) {
-                // Diagnostics name the first stop; later stops in other
-                // segments only count toward skipped_tails below.
-                if (result.clean) {
-                    result.stop_reason = why;
-                    result.stopped_segment = seg;
-                    result.stopped_offset = record_start;
-                }
-                result.clean = false;
-                stopped = true;
-            };
-            uint64_t len = 0;
-            if (!read_varint_at(bytes, bytes.size(), pos, len)) {
-                stop("torn length varint");
+        RecordReader reader(bytes);
+        Record rec;
+        while (reader.next(rec)) {
+            if (rec.op == Record::kSeal) {
+                reader.refuse("malformed record");  // not a log entry
                 break;
             }
-            if (len > bytes.size() - pos) {
-                stop("torn payload");
-                break;
-            }
-            size_t payload = pos;
-            pos += static_cast<size_t>(len);
-            if (bytes.size() - pos < 4) {
-                stop("torn checksum");
-                break;
-            }
-            uint32_t want = static_cast<uint32_t>(bytes[pos])
-                | static_cast<uint32_t>(bytes[pos + 1]) << 8
-                | static_cast<uint32_t>(bytes[pos + 2]) << 16
-                | static_cast<uint32_t>(bytes[pos + 3]) << 24;
-            pos += 4;
-            if (crc32c(bytes.data() + payload,
-                       static_cast<size_t>(len)) != want) {
-                stop("crc mismatch");
-                break;
-            }
-            // Decode the verified payload, bounding every read by the
-            // record end — a CRC-valid but malformed record (encoder
-            // bug, crafted file) must not yield views past its frame.
-            // Still stop rather than guess.
-            size_t p = payload, end = payload + static_cast<size_t>(len);
-            uint64_t op = 0, alen = 0, blen = 0;
-            if (!read_varint_at(bytes, end, p, op)
-                || (op != WalRecord::kPut && op != WalRecord::kErase)
-                || !read_varint_at(bytes, end, p, alen)
-                || alen > end - p) {
-                stop("malformed record");
-                break;
-            }
-            Str a(reinterpret_cast<const char*>(bytes.data()) + p,
-                  static_cast<size_t>(alen));
-            p += static_cast<size_t>(alen);
-            if (!read_varint_at(bytes, end, p, blen) || blen > end - p) {
-                stop("malformed record");
-                break;
-            }
-            Str b(reinterpret_cast<const char*>(bytes.data()) + p,
-                  static_cast<size_t>(blen));
-            WalRecord rec;
-            rec.op = static_cast<WalRecord::Op>(op);
-            rec.key = a;
-            rec.value = b;
             handler(rec);
             ++result.records;
         }
-        if (stopped) {
-            // A tear sits only at the durable frontier of the
-            // incarnation that wrote the segment, and every incarnation
-            // appends to a strictly later segment — so an unclean tail
-            // in a non-final segment is a frozen artifact of an older
-            // crash, not the current frontier. Skip the remainder of
-            // this segment and keep replaying: acknowledged, fsync'd
-            // records in later segments are still durable. Only an
-            // unclean tail in the last segment ends replay.
-            if (seg == segs.back())
-                break;
-            ++result.skipped_tails;
+        if (!reader.stop_reason())
+            continue;
+        // Diagnostics name the first stop; later stops in other
+        // segments only count toward skipped_tails below.
+        if (result.clean) {
+            result.stop_reason = reader.stop_reason();
+            result.stopped_segment = seg;
+            result.stopped_offset = reader.offset();
         }
+        result.clean = false;
+        // A tear sits only at the durable frontier of the incarnation
+        // that wrote the segment, and every incarnation appends to a
+        // strictly later segment — so an unclean tail in a non-final
+        // segment is a frozen artifact of an older crash, not the
+        // current frontier. Skip the remainder of this segment and keep
+        // replaying: acknowledged, fsync'd records in later segments are
+        // still durable. Only an unclean tail in the last segment ends
+        // replay.
+        if (seg == segs.back())
+            break;
+        ++result.skipped_tails;
     }
     return result;
 }

@@ -1,15 +1,13 @@
 // Write-ahead log with group commit (DESIGN.md §13). Put and erase
-// records are varint-framed over net::Buffer exactly like the message
-// layer: a record is [varint payload_len][payload][crc32c], payload =
-// [varint op][len-prefixed key/lo][len-prefixed value/hi]. Appends build
-// into a reusable batch buffer (allocation-free once the buffers are
-// warm, §8); the batch reaches the file — and the file reaches the
-// platter — on flush(), which fires automatically every
-// flush_interval_ops appends. One fsync therefore covers a whole batch
-// of operations: the group-commit bargain is that an acknowledgment is
-// durable only once the batch holding it flushed, which the tiers
-// enforce by flushing before acking (distrib) or at frame boundaries
-// (shard).
+// records are entry frames of the tier's one record format
+// (persist/record.hh). Appends build into a reusable batch buffer
+// (allocation-free once the buffers are warm, §8); the batch reaches
+// the file — and the file reaches the platter — on flush(), which
+// fires automatically every flush_interval_ops appends. One fsync
+// therefore covers a whole batch of operations: the group-commit
+// bargain is that an acknowledgment is durable only once the batch
+// holding it flushed, which the tiers enforce by flushing before acking
+// (distrib) or at frame boundaries (shard).
 //
 // The log is a sequence of segment files (seg-<n>.wal). Rotation happens
 // only at flush boundaries, so a record never spans segments, and a
@@ -40,6 +38,7 @@
 #include "common/str.hh"
 #include "net/buffer.hh"
 #include "persist/io.hh"
+#include "persist/record.hh"
 
 namespace pequod {
 namespace persist {
@@ -62,17 +61,6 @@ struct WalStats {
     uint64_t fsyncs = 0;
     uint64_t bytes_written = 0;
     uint64_t segments_created = 0;
-};
-
-// One replayed record. Slices into the replay buffer: valid only during
-// the handler call — handlers that keep a record copy the bytes. The
-// borrow is the point (replay streams megabytes without per-record
-// allocation), so the Str members are a reviewed exception.
-struct WalRecord {
-    enum Op : uint8_t { kPut = 1, kErase = 2 };
-    Op op = kPut;
-    Str key;    // pqcheck: allow(str-member)
-    Str value;  // pqcheck: allow(str-member)
 };
 
 struct ReplayResult {
@@ -133,9 +121,11 @@ class Wal {
     }
 
     // Replay all records in `dir` from segment `from_segment` upward.
+    // Each record is a put or an erase, valid only during the handler
+    // call.
     static ReplayResult replay(const std::string& dir,
                                uint64_t from_segment,
-                               FnRef<void(const WalRecord&)> handler);
+                               FnRef<void(const Record&)> handler);
 
     // Segment indexes present in `dir`, sorted ascending.
     static std::vector<uint64_t> segments_in(const std::string& dir);
@@ -144,7 +134,7 @@ class Wal {
                                     uint64_t segment);
 
   private:
-    void append_record(WalRecord::Op op, Str a, Str b);
+    void append_record(Record::Op op, Str a, Str b);
     void open_segment(uint64_t segment);
 
     WalConfig config_;

@@ -5,14 +5,14 @@
 //    never applying anything after it in that segment, while a tear in
 //    a non-final segment (an older incarnation's frozen frontier) must
 //    not shadow the durable records of later segments;
-//  - a checksummed block file detects a bit flip at *every* byte offset
-//    (header, CRC field, length, payload, padding) and fails closed
-//    instead of serving garbage;
+//  - a checkpoint with a bit flip at *every* byte offset, or cut at
+//    every length, is refused and recovery falls back to the previous
+//    checkpoint plus a longer replay, still matching the oracle; an
+//    unpublished tmp checkpoint is never read, and a corrupt MANIFEST
+//    refuses to start rather than silently dropping checkpoints;
 //  - checkpoint + WAL replay reconstructs exactly the durable prefix:
 //    a seeded kill-at-random-op crash loop compares every recovery
 //    against an oracle of flushed (= acked) operations;
-//  - a corrupt current checkpoint falls back to the previous checkpoint
-//    plus a longer replay, still matching the oracle;
 //  - the distrib and shard tiers restart from disk: acked writes
 //    survive, generations bump durably, and derived data rebuilds.
 //
@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <utility>
@@ -32,10 +33,10 @@
 #include "common/str.hh"
 #include "distrib/cluster.hh"
 #include "net/message.hh"
-#include "persist/blockstore.hh"
 #include "persist/crc32c.hh"
 #include "persist/io.hh"
 #include "persist/persist.hh"
+#include "persist/record.hh"
 #include "persist/wal.hh"
 #include "shard/sharded_server.hh"
 #include "temp_dir.hh"
@@ -49,13 +50,13 @@ using Items = std::vector<std::pair<std::string, std::string>>;
 
 Items replay_all(const std::string& dir, ReplayResult* rr = nullptr) {
     Items out;
-    auto handler = [&out](const WalRecord& rec) {
+    auto handler = [&out](const Record& rec) {
         out.emplace_back(rec.key.str(),
-                         (rec.op == WalRecord::kPut ? "P" : "E")
+                         (rec.op == Record::kPut ? "P" : "E")
                              + rec.value.str());
     };
     ReplayResult r =
-        Wal::replay(dir, 0, FnRef<void(const WalRecord&)>(handler));
+        Wal::replay(dir, 0, FnRef<void(const Record&)>(handler));
     if (rr)
         *rr = r;
     return out;
@@ -396,9 +397,11 @@ TEST(Wal, MalformedRecordLengthsStopReplaySafely) {
     // payloads[0]: op=kPut, then alen varint 0x81 whose continuation
     // runs off the record end into the CRC bytes (the old decoder's
     // size_t underflow path). payloads[1]: op=kPut, alen decodes huge.
+    // payloads[2]: a well-formed checkpoint seal, which no log holds.
     const std::vector<std::vector<uint8_t>> payloads{
         {0x01, 0x81},
         {0x01, 0xff, 0xff, 0x7f},
+        {0x03, 0x01, 0x00, 0x00},
     };
     for (const auto& payload : payloads) {
         TempDir td;
@@ -447,165 +450,12 @@ TEST(Wal, CorruptRecordStopsReplayWithoutApplyingIt) {
     }
 }
 
-// ---- block store ------------------------------------------------------------
-
-TEST(BlockStore, RoundTripsAcrossBlocks) {
-    TempDir td;
-    std::string path = td.sub("ckpt");
-    Items pairs;
-    for (int i = 0; i != 200; ++i)
-        pairs.emplace_back(
-            "key|" + std::to_string(1000 + i),
-            std::string(40, static_cast<char>('a' + i % 26)));
-    {
-        BlockWriter w(path, 256);
-        for (const auto& kv : pairs)
-            w.add(kv.first, kv.second);
-        EXPECT_EQ(w.finish(), 200u);
-    }
-    BlockStoreConfig bc;
-    bc.path = path;
-    bc.block_size = 256;
-    BlockStore store(bc);
-    ASSERT_TRUE(store.ok());
-    EXPECT_EQ(store.entry_count(), 200u);
-    EXPECT_GT(store.block_count(), 10u);  // genuinely multi-block
-    Items got;
-    auto sink = [&got](Str k, Str v) {
-        got.emplace_back(k.str(), v.str());
-    };
-    ASSERT_TRUE(store.scan(FnRef<void(Str, Str)>(sink)));
-    EXPECT_EQ(got, pairs);
-    store.verify();
-}
-
-TEST(BlockStore, OversizeEntryIsRejected) {
-    TempDir td;
-    BlockWriter w(td.sub("ckpt"), 64);
-    EXPECT_THROW(w.add("key", std::string(200, 'v')),
-                 std::invalid_argument);
-}
-
-TEST(BlockStore, UnfinishedFileReadsAsAbsent) {
-    TempDir td;
-    std::string path = td.sub("ckpt");
-    {
-        BlockWriter w(path, 128);
-        w.add("k", "v");
-        // no finish(): the header slot is still zeros
-    }
-    BlockStoreConfig bc;
-    bc.path = path;
-    bc.block_size = 128;
-    BlockStore store(bc);
-    EXPECT_FALSE(store.ok());
-}
-
-// The §13 corruption-handling acceptance bar: flip one bit at EVERY
-// byte offset of the file and the store must fail closed — a corrupt
-// block is reported, never decoded into wrong pairs.
-TEST(BlockStore, BitFlipAtEveryByteOffsetIsDetected) {
-    TempDir td;
-    std::string path = td.sub("ckpt");
-    Items pairs;
-    for (int i = 0; i != 12; ++i)
-        pairs.emplace_back("key|" + std::to_string(100 + i),
-                           "value|" + std::to_string(i));
-    {
-        BlockWriter w(path, 64);
-        for (const auto& kv : pairs)
-            w.add(kv.first, kv.second);
-        w.finish();
-    }
-    std::vector<uint8_t> pristine;
-    ASSERT_TRUE(read_file(path, pristine));
-    ASSERT_GT(pristine.size(), 64u);
-
-    for (uint64_t off = 0; off != pristine.size(); ++off) {
-        flip_bit(path, off);
-        BlockStoreConfig bc;
-        bc.path = path;
-        bc.block_size = 64;
-        BlockStore store(bc);
-        Items got;
-        auto sink = [&got](Str k, Str v) {
-            got.emplace_back(k.str(), v.str());
-        };
-        bool complete =
-            store.ok() && store.scan(FnRef<void(Str, Str)>(sink));
-        EXPECT_FALSE(complete) << "undetected flip at offset " << off;
-        // Fail-closed also means: whatever *was* produced before the
-        // stop is a verified prefix, never altered data.
-        ASSERT_LE(got.size(), pairs.size());
-        for (size_t i = 0; i != got.size(); ++i)
-            EXPECT_EQ(got[i], pairs[i]) << "offset " << off;
-        // Restore for the next offset.
-        File f = File::create(path);
-        f.write_all(pristine.data(), pristine.size());
-    }
-}
-
-TEST(BlockStore, CorruptCachedCopyIsRereadFromDisk) {
-    TempDir td;
-    std::string path = td.sub("ckpt");
-    {
-        BlockWriter w(path, 128);
-        w.add("key|1", "value-one");
-        w.finish();
-    }
-    BlockStoreConfig bc;
-    bc.path = path;
-    bc.block_size = 128;
-    BlockStore store(bc);
-    ASSERT_TRUE(store.ok());
-    const std::vector<uint8_t>* b = store.read_block(0);
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(store.cache_stats().misses, 1u);
-
-    // Scribble on the cached copy; the disk block is untouched.
-    std::vector<uint8_t>* cached = store.cached_bytes_for_test(0);
-    ASSERT_NE(cached, nullptr);
-    ASSERT_FALSE(cached->empty());
-    (*cached)[0] ^= 0xff;
-
-    const std::vector<uint8_t>* again = store.read_block(0);
-    ASSERT_NE(again, nullptr);  // served from disk, the origin of truth
-    EXPECT_EQ(store.cache_stats().corrupt_cached, 1u);
-    EXPECT_EQ(store.cache_stats().cache_rereads, 1u);
-    EXPECT_EQ(store.cache_stats().corrupt_disk, 0u);
-    store.verify();
-}
-
-TEST(BlockStore, LruEvictionRespectsByteBudget) {
-    TempDir td;
-    std::string path = td.sub("ckpt");
-    {
-        BlockWriter w(path, 128);
-        for (int i = 0; i != 100; ++i)
-            w.add("key|" + std::to_string(100 + i),
-                  std::string(50, 'v'));
-        w.finish();
-    }
-    BlockStoreConfig bc;
-    bc.path = path;
-    bc.block_size = 128;
-    bc.cache_budget = 3 * 128;  // a handful of blocks
-    BlockStore store(bc);
-    ASSERT_TRUE(store.ok());
-    for (uint64_t b = 0; b != store.block_count(); ++b)
-        ASSERT_NE(store.read_block(b), nullptr);
-    EXPECT_GT(store.cache_stats().evictions, 0u);
-    EXPECT_LE(store.cache_stats().cached_bytes, bc.cache_budget);
-    store.verify();
-}
-
 // ---- persistence orchestration ---------------------------------------------
 
 TEST(Persistence, CheckpointPlusReplayEqualsOracle) {
     TempDir td;
     PersistConfig pc;
     pc.dir = td.sub("p");
-    pc.block_size = 256;
     Oracle oracle;
     {
         Persistence p(pc);
@@ -658,8 +508,7 @@ TEST(Persistence, KillAtRandomOpRecoversExactlyTheDurablePrefix) {
         TempDir td;
         PersistConfig pc;
         pc.dir = td.sub("p");
-        pc.block_size = 256;
-        pc.wal_flush_interval_ops = 5;  // group commit: tails can die
+            pc.wal_flush_interval_ops = 5;  // group commit: tails can die
         Rng rng(seed * 977);
         Oracle durable;  // ops covered by a completed flush
         Oracle pending;  // appended, not yet flushed
@@ -712,60 +561,229 @@ TEST(Persistence, KillAtRandomOpRecoversExactlyTheDurablePrefix) {
     }
 }
 
+// Log `keys` puts, checkpoint (1), overwrite them, checkpoint again (2,
+// current; 1 retained as fallback), then log a flushed tail of `tail`
+// fresh keys. Returns the oracle every recovery must reproduce.
+Oracle two_checkpoint_history(const PersistConfig& pc, int keys,
+                              int tail) {
+    Oracle oracle;
+    Persistence p(pc);
+    recover_inplace(p);
+    auto ckpt = [&p, &oracle]() {
+        bool ok = p.checkpoint([&oracle](FnRef<void(Str, Str)> emit) {
+            for (const auto& kv : oracle)
+                emit(Str(kv.first), Str(kv.second));
+        });
+        EXPECT_TRUE(ok);
+    };
+    auto log = [&p, &oracle](int i, const char* tag) {
+        std::string key = "key|" + std::to_string(i);
+        oracle[key] = tag + std::to_string(i);
+        p.log_put(key, oracle[key]);
+    };
+    for (int i = 0; i != keys; ++i)
+        log(i, "first|");
+    ckpt();
+    for (int i = 0; i != keys; ++i)
+        log(i, "second|");
+    ckpt();
+    for (int i = keys; i != keys + tail; ++i)
+        log(i, "tail|");
+    p.flush();
+    return oracle;
+}
+
 TEST(Persistence, CorruptCheckpointFallsBackToPreviousPlusLongerReplay) {
     TempDir td;
     PersistConfig pc;
     pc.dir = td.sub("p");
-    pc.block_size = 256;
-    Oracle oracle;
-    {
-        Persistence p(pc);
-        recover_inplace(p);
-        auto ckpt = [&p, &oracle]() {
-            bool ok = p.checkpoint(
-                [&oracle](FnRef<void(Str, Str)> emit) {
-                    for (const auto& kv : oracle)
-                        emit(Str(kv.first), Str(kv.second));
-                });
-            ASSERT_TRUE(ok);
-        };
-        for (int i = 0; i != 50; ++i) {
-            std::string key = "key|" + std::to_string(i);
-            oracle[key] = "first|" + std::to_string(i);
-            p.log_put(key, oracle[key]);
-        }
-        ckpt();  // checkpoint 1
-        for (int i = 0; i != 50; ++i) {
-            std::string key = "key|" + std::to_string(i);
-            oracle[key] = "second|" + std::to_string(i);
-            p.log_put(key, oracle[key]);
-        }
-        ckpt();  // checkpoint 2 (current); 1 retained as fallback
-        for (int i = 50; i != 70; ++i) {
-            std::string key = "key|" + std::to_string(i);
-            oracle[key] = "tail|" + std::to_string(i);
-            p.log_put(key, oracle[key]);
-        }
-        p.flush();
-    }
-    // Corrupt the *current* checkpoint's first data block.
-    std::string current = pc.dir + "/ckpt-000002.blk";
+    Oracle oracle = two_checkpoint_history(pc, 50, 20);
+    // Corrupt the *current* checkpoint inside its first record.
+    std::string current = pc.dir + "/ckpt-000002.ckpt";
     ASSERT_TRUE(file_exists(current));
-    flip_bit(current, 256 + 20);
+    flip_bit(current, 5);
 
     RecoverResult rr;
     Oracle recovered = recover_into_map(pc, &rr);
     EXPECT_TRUE(rr.used_fallback);
-    EXPECT_GT(rr.corrupt_blocks, 0u);
+    EXPECT_EQ(rr.corrupt_checkpoints, 1u);
     // The fallback replays a longer WAL stretch over checkpoint 1 and
     // still lands on the full oracle: corruption cost retention, never
-    // data — and no bad block was ever served.
+    // data — and no pair of the bad checkpoint was ever applied.
     EXPECT_EQ(recovered, oracle);
     // The corrupt file was dropped; the next recovery is clean.
     EXPECT_FALSE(file_exists(current));
     Oracle again = recover_into_map(pc, &rr);
     EXPECT_FALSE(rr.used_fallback);
     EXPECT_EQ(again, oracle);
+}
+
+// A bit flip anywhere in a MANIFEST must stop the server from starting:
+// treating it as a fresh start would silently drop every checkpointed
+// key whose log segments were already truncated.
+TEST(Persistence, CorruptManifestRefusesToStart) {
+    TempDir td;
+    PersistConfig pc;
+    pc.dir = td.sub("p");
+    Oracle oracle;
+    {
+        Persistence p(pc);
+        recover_inplace(p);
+        for (int round = 0; round != 3; ++round) {
+            for (int i = 0; i != 100; ++i) {
+                std::string key = "key|" + std::to_string(round * 100 + i);
+                oracle[key] = "v" + std::to_string(i);
+                p.log_put(key, oracle[key]);
+            }
+            ASSERT_TRUE(p.checkpoint([&oracle](FnRef<void(Str, Str)> emit) {
+                for (const auto& kv : oracle)
+                    emit(Str(kv.first), Str(kv.second));
+            }));
+        }
+    }
+    RecoverResult rr;
+    ASSERT_EQ(recover_into_map(pc, &rr), oracle);
+    const uint64_t generation = rr.generation;
+
+    const std::string manifest = pc.dir + "/MANIFEST";
+    std::vector<uint8_t> pristine;
+    ASSERT_TRUE(read_file(manifest, pristine));
+    for (uint64_t off = 0; off != pristine.size(); ++off) {
+        flip_bit(manifest, off);
+        EXPECT_THROW(Persistence p(pc), IoError) << "offset " << off;
+        flip_bit(manifest, off);  // restore
+    }
+    {
+        File f = File::create(manifest);  // torn to nothing
+    }
+    EXPECT_THROW(Persistence p(pc), IoError);
+    {
+        File f = File::create(manifest);
+        f.write_all(pristine.data(), pristine.size());
+    }
+    // Nothing was lost by refusing: the intact MANIFEST still recovers
+    // every key, one generation on.
+    EXPECT_EQ(recover_into_map(pc, &rr), oracle);
+    EXPECT_EQ(rr.generation, generation + 1);
+}
+
+// ---- checkpoint file format ------------------------------------------------
+//
+// Each case builds two checkpoints plus a WAL tail once, then damages a
+// fresh copy of that directory per trial: recovery mutates the store
+// (it drops a refused checkpoint and rewrites the MANIFEST).
+
+void copy_dir(const std::string& from, const std::string& to) {
+    std::error_code ec;
+    std::filesystem::remove_all(to, ec);
+    std::filesystem::copy(from, to,
+                          std::filesystem::copy_options::recursive);
+}
+
+// The seal-and-CRC bar: flip one bit at EVERY byte offset of the current
+// checkpoint and recovery must refuse it, fall back to the previous one
+// plus a longer replay, and still equal the oracle exactly.
+TEST(Checkpoint, BitFlipAtEveryByteOffsetFallsBack) {
+    TempDir td;
+    PersistConfig pristine;
+    pristine.dir = td.sub("pristine");
+    Oracle oracle = two_checkpoint_history(pristine, 8, 4);
+    PersistConfig pc;
+    pc.dir = td.sub("trial");
+    const std::string current = pc.dir + "/ckpt-000002.ckpt";
+    copy_dir(pristine.dir, pc.dir);
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(read_file(current, bytes));
+    ASSERT_GT(bytes.size(), 100u);
+    for (uint64_t off = 0; off != bytes.size(); ++off) {
+        copy_dir(pristine.dir, pc.dir);
+        flip_bit(current, off);
+        RecoverResult rr;
+        Oracle recovered = recover_into_map(pc, &rr);
+        EXPECT_TRUE(rr.used_fallback) << "undetected flip at " << off;
+        EXPECT_EQ(rr.corrupt_checkpoints, 1u) << "offset " << off;
+        ASSERT_EQ(recovered, oracle) << "offset " << off;
+    }
+}
+
+// A checkpoint cut at any length (a torn file, or an unsealed one) or
+// carrying anything after its seal is refused.
+TEST(Checkpoint, TruncationAtEveryLengthIsRefused) {
+    TempDir td;
+    PersistConfig pristine;
+    pristine.dir = td.sub("pristine");
+    Oracle oracle = two_checkpoint_history(pristine, 8, 4);
+    PersistConfig pc;
+    pc.dir = td.sub("trial");
+    const std::string current = pc.dir + "/ckpt-000002.ckpt";
+    copy_dir(pristine.dir, pc.dir);
+    std::vector<uint8_t> full;
+    ASSERT_TRUE(read_file(current, full));
+
+    auto refused = [&](const std::vector<uint8_t>& image, size_t n) {
+        copy_dir(pristine.dir, pc.dir);
+        {
+            File f = File::create(current);
+            f.write_all(image.data(), n);
+        }
+        RecoverResult rr;
+        Oracle recovered = recover_into_map(pc, &rr);
+        EXPECT_TRUE(rr.used_fallback) << "length " << n;
+        EXPECT_EQ(rr.corrupt_checkpoints, 1u) << "length " << n;
+        EXPECT_EQ(recovered, oracle) << "length " << n;
+    };
+    for (size_t cut = 0; cut != full.size(); ++cut)
+        refused(full, cut);
+
+    // The seal must end the file: a well-formed put after it, or one
+    // stray byte, is refused too.
+    net::Buffer extra, scratch;
+    append_entry(extra, scratch, Record::kPut, "key|0", "after-seal");
+    std::vector<uint8_t> longer = full;
+    longer.insert(longer.end(), extra.data(), extra.data() + extra.size());
+    refused(longer, longer.size());
+    longer.resize(full.size() + 1);
+    refused(longer, longer.size());
+
+    // The intact file is accepted as is.
+    copy_dir(pristine.dir, pc.dir);
+    RecoverResult rr;
+    EXPECT_EQ(recover_into_map(pc, &rr), oracle);
+    EXPECT_FALSE(rr.used_fallback);
+    EXPECT_EQ(rr.checkpoint_entries, 8u);
+}
+
+// A crash between writing a checkpoint and renaming it into place
+// leaves a tmp file. Only the rename publishes: even a complete, sealed
+// image under the tmp name is never read, and the next checkpoint
+// overwrites it.
+TEST(Checkpoint, UnpublishedTmpIsIgnored) {
+    TempDir td;
+    PersistConfig pc;
+    pc.dir = td.sub("p");
+    Oracle oracle = two_checkpoint_history(pc, 8, 4);
+    {
+        net::Buffer image, scratch;
+        append_entry(image, scratch, Record::kPut, "key|0", "unpublished");
+        append_entry(image, scratch, Record::kSeal, "\x01", "");
+        File f = File::create(pc.dir + "/ckpt-000003.ckpt.tmp");
+        f.write_all(image.data(), image.size());
+    }
+    RecoverResult rr;
+    EXPECT_EQ(recover_into_map(pc, &rr), oracle);
+    EXPECT_FALSE(rr.used_fallback);
+    EXPECT_EQ(rr.corrupt_checkpoints, 0u);
+    {
+        Persistence p(pc);
+        recover_inplace(p);
+        ASSERT_TRUE(p.checkpoint([&oracle](FnRef<void(Str, Str)> emit) {
+            for (const auto& kv : oracle)
+                emit(Str(kv.first), Str(kv.second));
+        }));
+    }
+    EXPECT_FALSE(file_exists(pc.dir + "/ckpt-000003.ckpt.tmp"));
+    EXPECT_EQ(recover_into_map(pc, &rr), oracle);
+    EXPECT_EQ(rr.checkpoint_entries, oracle.size());
 }
 
 // ---- tier integration -------------------------------------------------------
@@ -785,7 +803,6 @@ distrib::Cluster::Config cluster_config(const std::string& dir) {
     cfg.base_tables = {"p|", "s|"};
     cfg.joins = kTimelineJoin;
     cfg.persist.dir = dir;
-    cfg.persist.block_size = 512;
     return cfg;
 }
 
@@ -873,7 +890,6 @@ TEST(ShardPersist, RestartRecoversOwnedBaseKeysAndRebuildsSinks) {
     cfg.shards = 2;
     cfg.joins = kTimelineJoin;
     cfg.persist.dir = td.sub("shards");
-    cfg.persist.block_size = 512;
 
     Items expected;
     {
@@ -943,8 +959,7 @@ TEST(ShardPersist, SinkPrefixClientPutsAreUniformlyVolatile) {
         cfg.shards = 2;
         cfg.joins = kTimelineJoin;
         cfg.persist.dir = td.sub("shards");
-        cfg.persist.block_size = 512;
-        {
+            {
             shard::ShardedServer ss(cfg);
             shard::ShardClient& client = ss.make_client();
             client.submit_put("p|u1|" + padded(1), "base");

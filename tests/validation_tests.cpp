@@ -19,10 +19,7 @@
 // NodePool double-free guard), which sanitizer CI switches on.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -37,7 +34,6 @@
 #include "common/str.hh"
 #include "common/validate.hh"
 #include "core/server.hh"
-#include "persist/blockstore.hh"
 #include "store/store.hh"
 
 namespace pequod {
@@ -504,91 +500,6 @@ TEST(EngineValidate, SharedValueStatsSurviveOwnerErase) {
     store.put("c|one", "fresh");
     EXPECT_EQ(store.memory_stats().shared_value_count, 0u);
     store.verify();
-}
-
-// ---- block-store walker (§13) ----------------------------------------------
-//
-// Same deliberate-corruption discipline as the in-memory structures:
-// break exactly one durability-cache invariant through a *_for_test
-// hook and require the verify() walker to name it, then churn the
-// cache and require verify() to stay silent.
-
-std::string blockstore_fixture(const std::string& dir, uint64_t blocks) {
-    std::string path = dir + "/blocks";
-    persist::BlockWriter w(path, 128);
-    for (uint64_t i = 0; i != blocks * 2; ++i)
-        w.add("key|" + pad_number(i, 6), std::string(48, 'v'));
-    w.finish();
-    return path;
-}
-
-class BlockDir {
-  public:
-    BlockDir() {
-        char tmpl[] = "validation_blocks_XXXXXX";
-        char* made = ::mkdtemp(tmpl);
-        EXPECT_NE(made, nullptr);
-        path_ = made ? made : "validation_blocks_fallback";
-    }
-    ~BlockDir() {
-        std::error_code ec;
-        std::filesystem::remove_all(path_, ec);
-    }
-    const std::string& path() const {
-        return path_;
-    }
-
-  private:
-    std::string path_;
-};
-
-TEST(Corruption, BlockCacheChecksumScribbleIsCaught) {
-    BlockDir td;
-    persist::BlockStoreConfig bc;
-    bc.path = blockstore_fixture(td.path(), 8);
-    bc.block_size = 128;
-    persist::BlockStore store(bc);
-    ASSERT_TRUE(store.ok());
-    ASSERT_NE(store.read_block(1), nullptr);
-    store.verify();  // clean before corruption
-    std::vector<uint8_t>* cached = store.cached_bytes_for_test(1);
-    ASSERT_NE(cached, nullptr);
-    ASSERT_FALSE(cached->empty());
-    cached->back() ^= 0x01;  // the silent-decay case evict checks for
-    EXPECT_THROW(store.verify(), InvariantError);
-}
-
-TEST(Corruption, BlockCacheByteAccountingDriftIsCaught) {
-    BlockDir td;
-    persist::BlockStoreConfig bc;
-    bc.path = blockstore_fixture(td.path(), 8);
-    bc.block_size = 128;
-    persist::BlockStore store(bc);
-    ASSERT_TRUE(store.ok());
-    ASSERT_NE(store.read_block(0), nullptr);
-    store.verify();
-    store.skew_accounting_for_test(7);  // cached_bytes no longer re-derives
-    EXPECT_THROW(store.verify(), InvariantError);
-}
-
-TEST(BruteForce, BlockCacheVerifiesCleanUnderRandomChurn) {
-    BlockDir td;
-    persist::BlockStoreConfig bc;
-    bc.path = blockstore_fixture(td.path(), 16);
-    bc.block_size = 128;
-    bc.cache_budget = 4 * 128;  // small enough that evictions dominate
-    persist::BlockStore store(bc);
-    ASSERT_TRUE(store.ok());
-    Rng rng(11);
-    for (int i = 0; i != 400; ++i) {
-        ASSERT_NE(store.read_block(rng.below(store.block_count())),
-                  nullptr);
-        store.verify();  // checksum + LRU accounting after every read
-    }
-    EXPECT_GT(store.cache_stats().evictions, 0u);
-    EXPECT_LE(store.cache_stats().cached_bytes, bc.cache_budget);
-    EXPECT_EQ(store.cache_stats().corrupt_cached, 0u);
-    EXPECT_EQ(store.cache_stats().corrupt_disk, 0u);
 }
 
 }  // namespace

@@ -24,11 +24,15 @@ struct Table {
     }
 
     // BAD three ways: a naked new, a growth-capable std:: container
-    // call, and a std::string construction, all on the hot path.
+    // call, and std::string constructions (a temporary or a named
+    // local), all on the hot path. A std::string_view is not one.
     PQ_NOALLOC void hot_bad(int k) {
         int* scratch = new int[k];  // pqcheck-expect: no-alloc
         history_.push_back(k);      // pqcheck-expect: no-alloc
         label_ = std::string("k");  // pqcheck-expect: no-alloc pqcheck: allow(hot-string)
+        std::string probe(label_.data(), label_.size());  // pqcheck-expect: no-alloc
+        std::string copy{label_};   // pqcheck-expect: no-alloc
+        std::string_view view(label_);
         delete[] scratch;
     }
 

@@ -372,7 +372,10 @@ GROWTH_CALLS = {
     "push_front", "emplace_front",
 }
 NEW_RE = re.compile(r"\bnew\b(?!\s*\()")  # `new T`, `new T[n]`, `new T{...}`
-STD_STRING_CTOR_RE = re.compile(r"\bstd::string\s*[({]")
+# A std::string temporary or a named construction (`std::string x(...)`,
+# `std::string x{...}`); `\b` keeps std::string_view out.
+STD_STRING_CTOR_RE = re.compile(
+    r"\bstd::string\b\s*(?:[A-Za-z_]\w*\s*)?[({]")
 
 # Methods a std:: container calls on an allocator named in its
 # template arguments, which no source line spells as a call.

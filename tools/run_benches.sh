@@ -217,14 +217,19 @@ for line in open(recovery_path):
     m = re.match(
         r"^fig_recovery summary: fsync_batch_speedup=(\d+\.\d+)x "
         r"unbatched_qps=(\d+) batched_qps=(\d+) "
-        r"recovery_s_per_1m=(\d+\.\d+) warm_restart_fresh=(\d+)$", line)
+        r"recovery_s_per_1m=(\d+\.\d+) ckpt_write_s_per_1m=(\d+\.\d+) "
+        r"ckpt_load_s_per_1m=(\d+\.\d+) ckpt_bytes_per_entry=(\d+\.\d+) "
+        r"warm_restart_fresh=(\d+)$", line)
     if m:
         figures["fig_recovery"] = {
             "fsync_batch_speedup": float(m.group(1)),
             "unbatched_qps": int(m.group(2)),
             "batched_qps": int(m.group(3)),
             "recovery_s_per_1m_records": float(m.group(4)),
-            "warm_restart_fresh": bool(int(m.group(5))),
+            "ckpt_write_s_per_1m_records": float(m.group(5)),
+            "ckpt_load_s_per_1m_records": float(m.group(6)),
+            "ckpt_bytes_per_entry": float(m.group(7)),
+            "warm_restart_fresh": bool(int(m.group(8))),
         }
 
 context["host"] = raw.get("context", {}).get("host_name", "unknown")
