@@ -28,7 +28,7 @@ struct Result {
 
 Result run(bool subtables, uint32_t users, int ops) {
     ServerConfig cfg;
-    cfg.store.enable_subtables = subtables;
+    cfg.enable_subtables = subtables;
     // Hints bypass the descent subtables optimize; measure without them so
     // the two optimizations are ablated independently (§4 reports them
     // separately).

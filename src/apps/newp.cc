@@ -17,6 +17,17 @@ namespace {
 
 constexpr int kIdWidth = 6;
 constexpr int kKarmaWidth = 8;
+constexpr uint64_t kSeed = 1;
+
+// Modeled RPC costs. The per-update charge is one eager karma fan-out
+// write: an unhinted tree write into a scattered page range, slightly
+// above the hinted append cost the Fig 7 Pequod model charges. With this
+// RTT it puts the interleaved-vs-separate crossover near the paper's
+// ~90% vote rate.
+constexpr double kRttSeconds = 50e-6;
+constexpr double kPerMessageSeconds = 5e-6;
+constexpr double kPerByteSeconds = 20e-9;
+constexpr double kPerUpdateSeconds = 3e-6;
 
 // The interleaved page join: one karma entry per comment, keyed into
 // the article's page range so a single scan returns every commenter's
@@ -32,18 +43,13 @@ std::string id(uint32_t x) {
 class NewpDriver {
   public:
     NewpDriver(const NewpConfig& config, bool interleaved)
-        : config_(config), interleaved_(interleaved), rng_(config.seed),
+        : config_(config), interleaved_(interleaved), rng_(kSeed),
           karma_(config.users, 0), author_(config.articles, 0) {
         compare::CostModel model;
-        model.rtt_seconds = config.rtt_seconds;
-        model.per_message_seconds = config.per_message_seconds;
-        model.per_byte_seconds = config.per_byte_seconds;
-        // Charged per eager karma fan-out write: an unhinted tree write
-        // into a scattered page range, slightly above the hinted append
-        // cost the Fig 7 Pequod model charges. With the default RTT this
-        // puts the interleaved-vs-separate crossover near the paper's
-        // ~90% vote rate.
-        model.per_update_seconds = config.per_update_seconds;
+        model.rtt_seconds = kRttSeconds;
+        model.per_message_seconds = kPerMessageSeconds;
+        model.per_byte_seconds = kPerByteSeconds;
+        model.per_update_seconds = kPerUpdateSeconds;
         backend_ = compare::make_pequod_backend(true, true, true, model);
     }
 

@@ -29,12 +29,6 @@ struct NewpConfig {
     uint32_t prepopulate_comments = 20000;
     uint32_t prepopulate_votes = 40000;
     double vote_rate = 0;  // fraction of sessions that vote
-    uint64_t seed = 1;
-    // Modeled costs (see apps/newp.cc for the calibration note).
-    double rtt_seconds = 50e-6;
-    double per_message_seconds = 5e-6;
-    double per_byte_seconds = 20e-9;
-    double per_update_seconds = 3e-6;
 };
 
 struct NewpResult {

@@ -19,6 +19,13 @@ constexpr int kTimeWidth = 10;
 // timeline entries kept per rebuilt timeline blob.
 constexpr size_t kRecentPosts = 10;
 constexpr size_t kTimelineDepth = 50;
+// §5.1 operation weights (the check:post ratio of a normal day, with
+// ~10x more graph changes than posts).
+constexpr double kCheckWeight = 60;
+constexpr double kPostWeight = 1;
+constexpr double kSubscribeWeight = 10;
+constexpr size_t kPostValueBytes = 80;  // synthetic post body length
+constexpr uint64_t kSeed = 1;
 
 std::string user_id(uint32_t u) {
     return pad_number(u, kUserWidth);
@@ -36,11 +43,9 @@ class TwipDriver {
     TwipDriver(compare::Backend& backend, const SocialGraph& graph,
                const TwipConfig& config)
         : backend_(backend), graph_(graph), config_(config),
-          style_(backend.style()), rng_(config.seed),
-          last_seen_(graph.user_count(), 0) {
-        post_body_.assign(
-            static_cast<size_t>(std::max(config.post_value_bytes, 1)), 'x');
-    }
+          style_(backend.style()), rng_(kSeed),
+          last_seen_(graph.user_count(), 0),
+          post_body_(kPostValueBytes, 'x') {}
 
     void setup() {
         if (backend_.supports_joins())
@@ -72,17 +77,16 @@ class TwipDriver {
     }
 
     void run_ops() {
-        double total = config_.check_weight + config_.post_weight
-            + config_.subscribe_weight;
+        double total = kCheckWeight + kPostWeight + kSubscribeWeight;
         uint64_t ops = static_cast<uint64_t>(
             static_cast<double>(graph_.user_count())
-            * config_.checks_per_user * total / config_.check_weight);
+            * config_.checks_per_user * total / kCheckWeight);
         for (uint64_t i = 0; i < ops; ++i) {
             double pick = rng_.uniform() * total;
-            if (pick < config_.check_weight) {
+            if (pick < kCheckWeight) {
                 do_check(static_cast<uint32_t>(
                     rng_.below(graph_.user_count())));
-            } else if (pick < config_.check_weight + config_.post_weight) {
+            } else if (pick < kCheckWeight + kPostWeight) {
                 do_post(graph_.sample_poster(rng_));
             } else {
                 uint32_t u = static_cast<uint32_t>(

@@ -37,13 +37,6 @@ namespace apps {
 struct TwipConfig {
     int checks_per_user = 30;  // expected timeline checks per user
     int prepopulate_posts_per_user = 5;
-    // §5.1 operation weights (the check:post ratio of a normal day,
-    // with ~10x more graph changes than posts).
-    double check_weight = 60;
-    double post_weight = 1;
-    double subscribe_weight = 10;
-    int post_value_bytes = 80;  // synthetic post body length
-    uint64_t seed = 1;
 };
 
 struct TwipResult {

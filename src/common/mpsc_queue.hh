@@ -5,14 +5,6 @@
 // neither takes a lock, so TSan exercising this queue checks real
 // release/acquire interleavings rather than mutex serialization.
 //
-// Bounded mode (§12 backpressure): set_capacity(n) arms an approximate
-// element cap. try_push refuses when the queue is at capacity and push
-// spins (yielding) until space frees up, so a producer outrunning a
-// shard worker stalls instead of growing the mailbox without bound. The
-// bound is approximate — concurrent producers can each pass the check
-// before either increment lands, overshooting by at most the producer
-// count — which is exactly as precise as backpressure needs to be.
-//
 // Caveats inherent to the algorithm:
 //  - A push is two steps (swing tail, then link the predecessor). After
 //    the first step and before the second, try_pop on the *predecessor*
@@ -33,7 +25,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <thread>
 #include <utility>
 
 #include "common/annotate.hh"
@@ -61,49 +52,15 @@ class MpscQueue {
         }
     }
 
-    // Arm (or, with 0, disarm) the approximate element cap. Call before
-    // producers start; the cap itself is not atomic state.
-    void set_capacity(size_t capacity) {
-        capacity_ = capacity;
-    }
-    size_t capacity() const {
-        return capacity_;
-    }
-
     // Elements pushed but not yet popped, give or take in-flight
     // operations. Any thread.
     size_t approx_size() const {
         return size_.load(std::memory_order_relaxed);
     }
 
-    // Any thread. False when a capacity is set and the queue is full;
-    // the element is not consumed. The release store on the
-    // predecessor's link publishes `value`'s bytes to the consumer's
-    // acquire load in try_pop.
-    bool try_push(T& value) {
-        if (capacity_ != 0
-            && size_.load(std::memory_order_relaxed) >= capacity_)
-            return false;
-        size_.fetch_add(1, std::memory_order_relaxed);
-        Node* n = new Node;
-        n->value = std::move(value);
-        Node* prev = tail_.exchange(n, std::memory_order_acq_rel);
-        prev->next.store(n, std::memory_order_release);
-        return true;
-    }
-
-    // Any thread. Blocks (spin + yield) under backpressure until the
-    // consumer makes room; wait-free when no capacity is set.
+    // Any thread. The release store on the predecessor's link publishes
+    // `value`'s bytes to the consumer's acquire load in try_pop.
     void push(T value) {
-        while (!try_push(value))
-            std::this_thread::yield();
-    }
-
-    // Any thread; ignores the capacity. The shard tier applies
-    // backpressure only at the client boundary: a worker forwarding
-    // cross-shard frames must never block, or two full mailboxes could
-    // deadlock a worker pair pushing at each other (§12).
-    void push_force(T value) {
         size_.fetch_add(1, std::memory_order_relaxed);
         Node* n = new Node;
         n->value = std::move(value);
@@ -155,7 +112,6 @@ class MpscQueue {
     alignas(64) Node* head_ PQ_GUARDED_BY(consumer_role_);
     mutable Role consumer_role_;
     alignas(64) std::atomic<size_t> size_{0};
-    size_t capacity_ = 0;  // 0 == unbounded
 };
 
 }  // namespace pequod

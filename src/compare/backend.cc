@@ -424,7 +424,7 @@ std::unique_ptr<Backend> make_pequod_backend(bool subtables,
                                              bool value_sharing,
                                              const CostModel& model) {
     ServerConfig config;
-    config.store.enable_subtables = subtables;
+    config.enable_subtables = subtables;
     config.enable_output_hints = output_hints;
     config.enable_value_sharing = value_sharing;
     CostModel m = model;
@@ -448,7 +448,7 @@ std::unique_ptr<Backend> make_memcache_like_backend() {
 
 std::unique_ptr<Backend> make_minidb_backend() {
     ServerConfig config;
-    config.store.enable_subtables = false;  // one flat row heap
+    config.enable_subtables = false;  // one flat row heap
     config.enable_output_hints = false;
     CostModel model;
     // Per row visited by a scan: buffer-manager lookup, tuple

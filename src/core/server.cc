@@ -54,7 +54,7 @@ Table& Server::make_table(const std::string& prefix) {
                    .emplace(std::piecewise_construct,
                             std::forward_as_tuple(prefix),
                             std::forward_as_tuple(
-                                prefix, config_.store.enable_subtables))
+                                prefix, config_.enable_subtables))
                    .first->second;
     // Adopt keys put before this prefix was routed, so the table's store
     // is the single home of its range from here on.

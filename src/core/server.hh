@@ -44,18 +44,16 @@
 namespace pequod {
 
 struct ServerConfig {
-    struct StoreConfig {
-        bool enable_subtables = true;
-    };
-    StoreConfig store;
+    // §4.1: each table's store splits into per-group subtables.
+    bool enable_subtables = true;
     // §4.2: remember where each updater's previous output landed and hint
     // the next insert there, skipping the tree descent on appends.
     bool enable_output_hints = true;
     // §4.3: a copy join's sink entry references the source entry's value
     // buffer instead of duplicating the bytes; memory_stats() counts each
     // shared buffer once. Off by default so the plain-KV hot path carries
-    // no refcount bookkeeping unless a deployment opts in; the shard tier
-    // does (shard::ShardConfig).
+    // no refcount bookkeeping unless a deployment opts in; every shard
+    // of the shard tier does.
     bool enable_value_sharing = false;
 };
 
@@ -97,7 +95,7 @@ class Server {
     Server() : Server(ServerConfig()) {}
     explicit Server(const ServerConfig& config, RemoteStore* remote = nullptr)
         : config_(config),
-          root_("", config.store.enable_subtables),
+          root_("", config.enable_subtables),
           remote_(remote) {
         if (remote_)
             config_.enable_value_sharing = false;

@@ -252,6 +252,13 @@ class Client : public Node {
     bool reply_ok_ = false;
 };
 
+// §10 retry policy: a failed subscription retries up to kRetryBudget
+// times with exponential backoff (1 << (attempts - 1) ticks, capped at
+// kBackoffMaxTicks), measured in Cluster::tick() calls. On exhaustion
+// the range falls back to on-demand subscription at the next scan.
+constexpr int kRetryBudget = 8;
+constexpr uint64_t kBackoffMaxTicks = 16;
+
 class Cluster {
   public:
     struct Config {
@@ -262,25 +269,6 @@ class Cluster {
         std::vector<std::string> base_tables;
         // ';'-separated join specs installed at every compute server.
         std::string joins;
-        // Modeled CPU per frame handled/sent and per framed byte: the
-        // dispatch cost an in-process simulation would otherwise
-        // undercount. Deliberately dominant at bench scale so the
-        // reported shape is stable run to run.
-        double cpu_per_message = 2e-6;
-        double cpu_per_byte = 2e-9;
-        // Modeled CPU for applying one subscribed update to the local
-        // source cache — deserialization, subscription-index upkeep, and
-        // the allocator/cache pressure of the duplicated base data. This
-        // is the per-server cost that subscription duplication multiplies
-        // as the compute tier grows (§5.5's sublinearity).
-        double cpu_per_update = 10e-6;
-        // §10 retry policy: a failed subscription retries up to
-        // retry_budget times with exponential backoff (base << attempts,
-        // capped), measured in Cluster::tick() calls. On exhaustion the
-        // range falls back to on-demand subscription at the next scan.
-        int retry_budget = 8;
-        uint64_t backoff_base_ticks = 1;
-        uint64_t backoff_max_ticks = 16;
         // Durability (§13): when persist.dir is non-empty, each base
         // server journals to <dir>/base-<i> and recovers from it on
         // restart. Compute servers never persist — their state is

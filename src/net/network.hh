@@ -45,7 +45,10 @@ class Endpoint {
 };
 
 // Per-link fault probabilities, sampled independently per frame from the
-// network's seeded generator.
+// network's seeded generator. Only the chaos and fault suites set them:
+// this struct is their fault-injection seam, and production runs
+// fault-free at the defaults.
+// pqcheck: allow(test-only-option)
 struct FaultConfig {
     double drop = 0;       // frame vanishes in transit
     double duplicate = 0;  // frame delivered twice

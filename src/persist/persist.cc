@@ -15,7 +15,6 @@ constexpr size_t kCheckpointChunk = 64 * 1024;  // bytes per write(2)
 WalConfig make_wal_config(const PersistConfig& config) {
     WalConfig wc;
     wc.dir = config.dir + "/wal";
-    wc.segment_bytes = config.wal_segment_bytes;
     wc.flush_interval_ops = config.wal_flush_interval_ops;
     wc.fsync_data = config.wal_fsync;
     return wc;

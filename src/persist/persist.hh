@@ -46,7 +46,6 @@ struct PersistConfig {
     // Root directory for this server's durable state; empty disables
     // persistence (the tiers treat an empty dir as "run in-memory").
     std::string dir;
-    size_t wal_segment_bytes = 1 << 20;
     size_t wal_flush_interval_ops = 64;
     bool wal_fsync = true;
 

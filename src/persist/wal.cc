@@ -94,7 +94,7 @@ void Wal::flush() {
     buffered_ops_ = 0;
     batch_.clear();
     // Rotation only at flush boundaries: a record never spans segments.
-    if (segment_size_ >= config_.segment_bytes)
+    if (segment_size_ >= kWalSegmentBytes)
         open_segment(segment_ + 1);
 }
 

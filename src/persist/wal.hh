@@ -43,10 +43,11 @@
 namespace pequod {
 namespace persist {
 
+// Rotate to a new segment once the current one exceeds this.
+constexpr size_t kWalSegmentBytes = 1 << 20;
+
 struct WalConfig {
     std::string dir;
-    // Rotate to a new segment once the current one exceeds this.
-    size_t segment_bytes = 1 << 20;
     // Group commit: flush (write + fsync) after this many appended ops.
     size_t flush_interval_ops = 64;
     // When false, flush() writes but never fsyncs — the fig_recovery

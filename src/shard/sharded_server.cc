@@ -81,15 +81,19 @@ ShardedServer::ShardedServer(const ShardConfig& config) : config_(config) {
         parsed.parse(spec);
         sink_prefixes_.push_back(parsed.sink().table_prefix());
     }
+    // §4.3 value sharing is on: a notify item lands as a replica entry,
+    // and the subscriber's fan-out shares that entry's buffer instead of
+    // copying the bytes into every timeline row.
+    ServerConfig sharing;
+    sharing.enable_value_sharing = true;
     for (int s = 0; s != config_.shards; ++s) {
         shards_.push_back(std::make_unique<ShardState>(
-            config_.server, config_.notify_batch_items,
+            sharing,
             [this, s](int dest, const net::Message& m) {
                 publish_frame(s, dest, m);
             },
             config_.shards, s));
         ShardState& st = *shards_.back();
-        st.mailbox.set_capacity(config_.mailbox_capacity);
         st.staged.shard_frames.resize(static_cast<size_t>(config_.shards));
         for (const std::string& spec : specs)
             st.server.add_join(spec);
@@ -297,8 +301,6 @@ void ShardedServer::handle_client_put(int s, int client, net::Message&& m) {
     if (st.persist && !is_sink_key(m.key))
         st.persist->log_put(m.key, m.value);
     ++st.stats.client_puts;
-    if (config_.log_applied)
-        st.applied_puts.emplace_back(m.key, m.value);
     if (!ship_early)
         st.publisher.publish(m.key, m.value);
     st.staged.completions.emplace_back(client, Completion{m.seq, 0});
@@ -366,7 +368,7 @@ void ShardedServer::send_now(int s, int dest, const net::Message& m) {
     f.from = s;
     net::encode_message(f.buf, m);
     if (threaded_) {
-        shards_[static_cast<size_t>(dest)]->mailbox.push_force(std::move(f));
+        shards_[static_cast<size_t>(dest)]->mailbox.push(std::move(f));
         return;
     }
     // Single driving thread: the peer's handler runs to completion right
@@ -460,7 +462,7 @@ void ShardedServer::ship_shard_frames(int s, uint64_t vt) {
         f.stamp = vt;
         f.buf = std::move(b);
         b = net::Buffer();
-        shards_[d]->mailbox.push_force(std::move(f));
+        shards_[d]->mailbox.push(std::move(f));
     }
 }
 
@@ -472,14 +474,14 @@ void ShardedServer::release_staged(int s, uint64_t vt) {
         f.from = s;
         f.stamp = vt;
         f.buf = std::move(reply.second);
-        clients_[static_cast<size_t>(reply.first)]->replies_.push_force(
+        clients_[static_cast<size_t>(reply.first)]->replies_.push(
             std::move(f));
     }
     st.staged.client_replies.clear();
     for (auto& c : st.staged.completions) {
         Completion done = c.second;
         done.vt = vt;
-        clients_[static_cast<size_t>(c.first)]->completions_.push_force(done);
+        clients_[static_cast<size_t>(c.first)]->completions_.push(done);
     }
     st.staged.completions.clear();
 }

@@ -18,16 +18,17 @@
 //    frames from its own mailbox until its backfill (the nonce rides in
 //    the epoch field) arrives, deferring client frames;
 //  - the mailbox-dry flush: batches coalesce across frames and flush at
-//    notify_batch_items or when the owner's mailbox runs dry, so a burst
+//    kNotifyBatchItems or when the owner's mailbox runs dry, so a burst
 //    of writes wakes each subscriber once, not once per write;
 //  - the early ship: a threaded shard without a WAL ships each put's
 //    notify before running its own local fan-out, trading that
 //    coalescing for freshness.
 // Mailboxes are reliable and FIFO per peer, so every frame the
 // Subscriber judges must be in step; any other verdict throws
-// std::logic_error. Subscribed ranges must be base (client-written)
-// ranges; a join whose source is another join's remote sink is rejected
-// by this tier.
+// std::logic_error. Owners notify only client puts, yet a join may read
+// another join's sink: every shard installs every join, so the reading
+// shard materializes the sink range itself from the base rows it owns
+// or subscribes, and its own updaters keep it fresh.
 //
 // Two execution modes over the same per-shard state and handler code:
 //  - start()/stop() spawns one worker thread per shard (the real
@@ -64,27 +65,8 @@ namespace shard {
 
 struct ShardConfig {
     int shards = 1;
-    // Frames a shard's mailbox accepts before *client* flushes block
-    // (0 = unbounded). Worker-to-worker frames bypass the cap — see
-    // MpscQueue::push_force — so backpressure stalls load generators,
-    // never the pipeline itself.
-    size_t mailbox_capacity = 0;
-    // Pending notify items per destination before an early flush; until
-    // then fan-out coalesces across drained frames (§12).
-    size_t notify_batch_items = 64;
     // ';'-separated join specs installed on every shard's Server.
     std::string joins;
-    // §4.3 value sharing is on: a notify item lands as a replica entry,
-    // and the subscriber's fan-out shares that entry's buffer instead of
-    // copying the bytes into every timeline row.
-    ServerConfig server = [] {
-        ServerConfig c;
-        c.enable_value_sharing = true;
-        return c;
-    }();
-    // Record each applied client put per shard, in application order,
-    // for the sequential-replay oracle in the stress tests.
-    bool log_applied = false;
     // Durability (§13): when persist.dir is non-empty each shard
     // journals the client puts it *owns* to <dir>/shard-<s>, group-
     // committed per mailbox frame (a put's completion is released only
@@ -93,6 +75,10 @@ struct ShardConfig {
     // protocol after recovery.
     persist::PersistConfig persist;
 };
+
+// Pending notify items per destination before an early flush; until
+// then fan-out coalesces across drained frames (§12).
+constexpr size_t kNotifyBatchItems = 64;
 
 // One mailbox element: a batch of encoded messages from one producer.
 // `stamp` is the sender's virtual completion time in simulation mode
@@ -148,8 +134,7 @@ class ShardClient {
     }
 
     // Ship every pending batch to its shard mailbox, stamped with
-    // `stamp` (virtual arrival time; 0 under real threads). Blocks when
-    // a mailbox is at capacity.
+    // `stamp` (virtual arrival time; 0 under real threads).
     PQ_CLIENT_CONTEXT void flush(uint64_t stamp = 0);
     size_t pending_ops() const {
         return pending_ops_;
@@ -234,10 +219,6 @@ class ShardedServer {
     PQ_QUIESCENT_CONTEXT const sub::Subscriber& subscriber(int s) const {
         return shards_[static_cast<size_t>(s)]->subscriber;
     }
-    const std::vector<std::pair<std::string, std::string>>&
-    applied_puts(int s) const {
-        return shards_[static_cast<size_t>(s)]->applied_puts;
-    }
     const ShardConfig& config() const {
         return config_;
     }
@@ -270,10 +251,10 @@ class ShardedServer {
     };
 
     struct ShardState {
-        ShardState(const ServerConfig& sc, size_t notify_batch_items,
-                   sub::Send send, int nshards, int self)
+        ShardState(const ServerConfig& sc, sub::Send send, int nshards,
+                   int self)
             : server(sc),
-              publisher(notify_batch_items, std::move(send)),
+              publisher(kNotifyBatchItems, std::move(send)),
               subscriber(nshards, self) {}
 
         Server server;
@@ -305,7 +286,6 @@ class ShardedServer {
         std::deque<std::pair<int, net::Message>> feed;
 
         Staged staged;
-        std::vector<std::pair<std::string, std::string>> applied_puts;
 
         // §13 durability: this shard's journal (worker-owned like the
         // Server) and what the constructor's recovery replayed.

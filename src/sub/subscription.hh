@@ -11,9 +11,9 @@
 // owner's generation, the subscriber's epoch and the per-link live
 // sequence. A batch flushes at `batch_limit` items or when the tier
 // calls flush(). The distribution tier passes 1, so every put posts one
-// notify per subscriber; the shard tier coalesces up to
-// ShardConfig::notify_batch_items and flushes when its mailbox runs dry
-// and before its early ship.
+// notify per subscriber; the shard tier passes shard::kNotifyBatchItems
+// (64) and also flushes when its mailbox runs dry and before its early
+// ship.
 //
 // Subscriber (subscriber side): the ranges already covered, the routing
 // rule that sends a range to its one owner (or to every owner when it

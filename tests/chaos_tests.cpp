@@ -76,8 +76,6 @@ void run_chaos(uint64_t seed, const std::string& persist_dir = "") {
     ccfg.compute_servers = 2 + static_cast<int>(rng.below(2));
     ccfg.base_tables = {"s|", "p|"};
     ccfg.joins = kTimelineJoin;
-    ccfg.backoff_base_ticks = 1;
-    ccfg.backoff_max_ticks = 4;
     ccfg.persist.dir = persist_dir;
     distrib::Cluster cluster(ccfg);
     cluster.network().set_fault_seed(seed * 0x9e3779b97f4a7c15ull + 1);

@@ -200,7 +200,6 @@ TEST(ClientServerEquivalence, SmallTwipTrace) {
     apps::TwipConfig tcfg;
     tcfg.checks_per_user = 4;
     tcfg.prepopulate_posts_per_user = 2;
-    tcfg.post_value_bytes = 24;
     auto graph = apps::SocialGraph::generate(gcfg);
 
     auto server = compare::make_pequod_backend();

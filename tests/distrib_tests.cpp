@@ -318,10 +318,7 @@ TEST(ClusterFaults, ComputeRestartRematerializesOnDemand) {
 }
 
 TEST(ClusterFaults, PartitionedSubscribeRetriesUnderBackoffThenHeals) {
-    distrib::Cluster::Config ccfg = small_config();
-    ccfg.backoff_base_ticks = 1;
-    ccfg.backoff_max_ticks = 2;
-    distrib::Cluster cluster(ccfg);
+    distrib::Cluster cluster(small_config());
     cluster.put("s|" + ukey(1) + "|" + ukey(2), "1");
     cluster.put(post_key(2, 1), "post 1");
     cluster.settle();
@@ -348,11 +345,7 @@ TEST(ClusterFaults, PartitionedSubscribeRetriesUnderBackoffThenHeals) {
 }
 
 TEST(ClusterFaults, RetryBudgetExhaustionFallsBackToOnDemand) {
-    distrib::Cluster::Config ccfg = small_config();
-    ccfg.retry_budget = 3;
-    ccfg.backoff_base_ticks = 1;
-    ccfg.backoff_max_ticks = 1;
-    distrib::Cluster cluster(ccfg);
+    distrib::Cluster cluster(small_config());
     cluster.put("s|" + ukey(1) + "|" + ukey(2), "1");
     cluster.put(post_key(2, 1), "post 1");
     cluster.settle();
@@ -360,7 +353,11 @@ TEST(ClusterFaults, RetryBudgetExhaustionFallsBackToOnDemand) {
     int ci = cluster.compute_index_for(ukey(1));
     cluster.network().set_partition({0, 1}, {cid});
     EXPECT_TRUE(cluster_timeline(cluster, 1).empty());
-    for (int i = 0; i < 12; ++i)
+    // Every retry waits at most kBackoffMaxTicks, so this many ticks
+    // spend the whole budget.
+    for (int i = 0; i < distrib::kRetryBudget
+                            * static_cast<int>(distrib::kBackoffMaxTicks);
+         ++i)
         cluster.tick();
     const distrib::FaultStats& fs = cluster.compute(ci).fault_stats();
     EXPECT_GE(fs.abandoned, 1u);

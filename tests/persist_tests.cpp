@@ -199,13 +199,13 @@ TEST(Wal, RotatesSegmentsAndReplaysAcrossThem) {
     TempDir td;
     WalConfig wc;
     wc.dir = td.sub("wal");
-    wc.segment_bytes = 256;  // rotate every few records
     wc.flush_interval_ops = 2;
     {
+        // Ten records fill a segment, so 40 span four of them.
         Wal wal(wc);
         for (int i = 0; i != 40; ++i)
             wal.append_put("key|" + std::to_string(i),
-                           std::string(30, 'v'));
+                           std::string(kWalSegmentBytes / 10, 'v'));
         wal.flush();
     }
     EXPECT_GT(Wal::segments_in(wc.dir).size(), 3u);

@@ -27,6 +27,7 @@
 #include "common/mpsc_queue.hh"
 #include "common/rng.hh"
 #include "core/server.hh"
+#include "join/join.hh"
 #include "net/message.hh"
 #include "shard/routing.hh"
 #include "shard/sharded_server.hh"
@@ -161,17 +162,11 @@ TEST(ShardBatch, CodecRoundTripsMixedBatches) {
     EXPECT_EQ(more[0].key, put.key);
 }
 
-TEST(ShardMailbox, CapacityBoundsAndPeek) {
+TEST(ShardMailbox, PeekDoesNotConsume) {
     MpscQueue<int> q;
-    q.set_capacity(2);
-    int a = 1, b = 2, c = 3;
-    EXPECT_TRUE(q.try_push(a));
-    EXPECT_TRUE(q.try_push(b));
-    EXPECT_FALSE(q.try_push(c));  // at capacity
-    EXPECT_EQ(q.approx_size(), 2u);
-    // push_force ignores the cap (worker-to-worker frames must not
-    // block behind client backpressure).
-    q.push_force(3);
+    q.push(1);
+    q.push(2);
+    q.push(3);
     EXPECT_EQ(q.approx_size(), 3u);
 
     RoleGuard consumer(q.consumer_role());
@@ -182,15 +177,13 @@ TEST(ShardMailbox, CapacityBoundsAndPeek) {
     EXPECT_EQ(out, 1);
     ASSERT_NE(q.peek(), nullptr);
     EXPECT_EQ(*q.peek(), 2);
-    // The forced element counts against the cap: one pop only brought
-    // the size back down to capacity, so try_push still refuses.
-    int d = 4;
-    EXPECT_FALSE(q.try_push(d));
+    EXPECT_EQ(q.approx_size(), 2u);
     EXPECT_TRUE(q.try_pop(out));
     EXPECT_EQ(out, 2);
-    EXPECT_TRUE(q.try_push(d));
+    q.push(4);
     while (q.try_pop(out))
         ;
+    EXPECT_EQ(out, 4);
     EXPECT_EQ(q.peek(), nullptr);
     EXPECT_EQ(q.approx_size(), 0u);
 }
@@ -292,7 +285,6 @@ TEST(ShardedServer, CrossShardSubscribeBackfillNotify) {
     ShardConfig cfg;
     cfg.shards = kShards;
     cfg.joins = kTimelineJoin;
-    cfg.notify_batch_items = 4;  // small, to exercise early flushes
     ShardedServer ss(cfg);
     ShardClient& client = ss.make_client();
 
@@ -327,8 +319,13 @@ TEST(ShardedServer, CrossShardSubscribeBackfillNotify) {
     EXPECT_GT(subscribes, 0u) << "no cross-shard sources were subscribed";
 
     // Live writes: posts and new follow edges fan out across shards.
+    // They reach each shard as one client frame, enough for some
+    // destination's batch to pass kNotifyBatchItems mid-frame.
+    uint64_t notifies_before = 0;
+    for (int s = 0; s != kShards; ++s)
+        notifies_before += ss.stats(s).notify_frames_sent;
     Rng rng(7);
-    for (int i = 0; i != 120; ++i) {
+    for (int i = 0; i != 600; ++i) {
         int u = static_cast<int>(rng.below(kUsers));
         if (i % 3 == 0) {
             std::string k = "s|" + user(u) + "|"
@@ -344,10 +341,18 @@ TEST(ShardedServer, CrossShardSubscribeBackfillNotify) {
     client.flush();
     settle(ss);
 
-    uint64_t notified = 0;
-    for (int s = 0; s != kShards; ++s)
+    uint64_t notified = 0, notifies = 0;
+    for (int s = 0; s != kShards; ++s) {
         notified += ss.stats(s).notify_items_applied;
+        notifies += ss.stats(s).notify_frames_sent;
+    }
     EXPECT_GT(notified, 0u) << "no notify fan-out crossed shards";
+    // Each shard applied one client frame, and the mailbox-dry flush
+    // sends at most one notify per destination after it; any more came
+    // from a batch that filled up mid-frame.
+    EXPECT_GT(notifies - notifies_before,
+              static_cast<uint64_t>(kShards * (kShards - 1)))
+        << "no notify batch reached kNotifyBatchItems";
 
     // Every timeline, read at its owner shard, matches the oracle.
     for (int u = 0; u != kUsers; ++u) {
@@ -365,6 +370,93 @@ TEST(ShardedServer, CrossShardSubscribeBackfillNotify) {
     }
     for (int s = 0; s != kShards; ++s)
         ss.server(s).verify();
+}
+
+// A join reading another join's sink, at 2 shards: `c|<h>|` reads the
+// sink range `a|<g>|`, which copies the base range `b|<g>|`. Every shard
+// installs every join, so a shard reading `a|<g>|` computes it from the
+// `b|<g>|` rows it owns or replicates, and a later put into `b|<g>|`
+// reaches `c|<h>|` through that shard's own updaters. Two shards place
+// `c|<h>|` either away from `a|<g>|` (beside `b|<g>|`) or away from
+// `b|<g>|` (beside `a|<g>|`); `a|<g>|` and `b|<g>|` sit apart in both.
+constexpr const char* kChainJoins =
+    "a|<g>|<k> = copy b|<g>|<k>;"
+    "c|<h>|<g>|<k> = check s|<h>|<g> copy a|<g>|<k>";
+
+void run_chained_sink_join(bool c_away_from_a) {
+    std::string g, h;
+    for (uint64_t i = 0; h.empty(); ++i) {
+        std::string gi = "g" + pad_number(i, 3);
+        int a = shard_of("a|" + gi + "|", 2);
+        if (a == shard_of("b|" + gi + "|", 2))
+            continue;
+        for (uint64_t j = 0; h.empty(); ++j) {
+            std::string hj = "h" + pad_number(j, 3);
+            if ((shard_of("c|" + hj + "|", 2) != a) == c_away_from_a) {
+                g = gi;
+                h = hj;
+            }
+        }
+    }
+    ShardConfig cfg;
+    cfg.shards = 2;
+    cfg.joins = kChainJoins;
+    ShardedServer ss(cfg);
+    ShardClient& client = ss.make_client();
+    Server oracle;
+    for (const std::string& spec : split_join_specs(kChainJoins))
+        oracle.add_join(spec);
+
+    auto put = [&](const std::string& k, const std::string& v) {
+        client.submit_put(k, v);
+        oracle.put(k, v);
+    };
+    // Read `c|<h>|` first, so it materializes the whole chain, then the
+    // ranges under it, each at its owner.
+    auto rows_match = [&](const char* when, size_t chained) {
+        for (const std::string& lo :
+             {"c|" + h + "|", "a|" + g + "|", "b|" + g + "|"}) {
+            std::string hi = prefix_successor(lo);
+            client.submit_scan(lo, hi);
+            client.flush();
+            settle(ss);
+            Items want;
+            oracle.scan(lo, hi,
+                        [&](const std::string& k, const ValuePtr& v) {
+                            want.emplace_back(k, *v);
+                        });
+            EXPECT_EQ(want.size(), chained) << lo << " " << when;
+            EXPECT_EQ(drain_replies(client), want) << lo << " " << when;
+        }
+    };
+    put("s|" + h + "|" + g, "1");
+    put("b|" + g + "|k1", "v1");
+    put("b|" + g + "|k2", "v2");
+    client.flush();
+    settle(ss);
+    rows_match("after the first inserts", 2);
+    put("b|" + g + "|k3", "v3");
+    client.flush();
+    settle(ss);
+    rows_match("after a later insert", 3);
+    put("b|" + g + "|k1", "v1 overwritten");
+    client.flush();
+    settle(ss);
+    rows_match("after an overwrite", 3);
+    uint64_t subscribes = 0;
+    for (int s = 0; s != 2; ++s) {
+        subscribes += ss.stats(s).subscribes_sent;
+        ss.server(s).verify();
+    }
+    EXPECT_GT(subscribes, 0u) << "the chain never crossed shards";
+}
+
+TEST(ShardedServer, ChainedSinkJoinAwayFromItsSource) {
+    run_chained_sink_join(true);
+}
+
+TEST(ShardedServer, ChainedSinkJoinAwayFromTheBase) {
+    run_chained_sink_join(false);
 }
 
 // A scan spanning routing groups broadcasts; each shard serves only the
@@ -471,7 +563,6 @@ void run_interleaved_feeds(bool threaded) {
     ShardConfig cfg;
     cfg.shards = 2;
     cfg.joins = kTimelineJoin;
-    cfg.notify_batch_items = 3;  // small, so batches also flush early
     ShardedServer ss(cfg);
     ShardClient& client = ss.make_client();
     Server oracle;
@@ -530,6 +621,39 @@ void run_interleaved_feeds(bool threaded) {
     settle(ss);
     drain_replies(client);
 
+    if (!threaded) {
+        // A burst past the batch limit, after the follower's timeline
+        // subscribed the poster: one frame of posts fills the batch,
+        // which flushes at kNotifyBatchItems and again when the
+        // poster's mailbox runs dry. (A threaded volatile shard ships
+        // each put's notify on its own, so its batches never fill.)
+        // The preload makes user(u - 1) a follower of user(u).
+        auto home_of = [&](int u) {
+            return shard_of("p|" + user(u) + "|", 2);
+        };
+        auto follower_timeline = [&](int u) {
+            return "t|" + user((u + kUsers - 1) % kUsers) + "|";
+        };
+        int poster = 0;
+        while (home_of(poster) == shard_of(follower_timeline(poster), 2))
+            ++poster;
+        int home = home_of(poster);
+        std::string lo = follower_timeline(poster);
+        client.submit_scan(lo, prefix_successor(lo));
+        client.flush();
+        settle(ss);
+        drain_replies(client);
+        uint64_t before = ss.stats(home).notify_frames_sent;
+        for (size_t k = 0; k != kNotifyBatchItems + 6; ++k) {
+            std::string p = "p|" + user(poster) + "|" + pad_number(++ts, 10);
+            client.submit_put(p, "burst");
+            oracle.put(p, "burst");
+        }
+        client.flush();
+        settle(ss);
+        EXPECT_EQ(ss.stats(home).notify_frames_sent - before, 2u);
+    }
+
     uint64_t notify_frames = 0, subscribes = 0;
     int links = 0;
     for (int d = 0; d != 2; ++d) {
@@ -586,7 +710,6 @@ void run_cross_shard_value_sharing(bool threaded) {
     ShardConfig cfg;
     cfg.shards = 2;
     cfg.joins = kTimelineJoin;
-    ASSERT_TRUE(cfg.server.enable_value_sharing);
     ShardedServer ss(cfg);
     ShardClient& client = ss.make_client();
     Server oracle;
@@ -680,9 +803,17 @@ TEST(ShardedServer, CrossShardFanOutSharesValuesThreaded) {
 TEST(ShardedServer, AppliedPutLogFollowsApplicationOrder) {
     ShardConfig cfg;
     cfg.shards = 2;
-    cfg.log_applied = true;
     ShardedServer ss(cfg);
     ShardClient& client = ss.make_client();
+    // Each shard's owned puts, in the order its Server applies them.
+    // The observer also sees replicated notify items; those belong to
+    // the other shard's log.
+    std::vector<std::vector<std::string>> applied(2);
+    for (int s = 0; s != 2; ++s)
+        ss.server(s).set_write_observer([&applied, s](Str key, Str) {
+            if (shard_of(key, 2) == s)
+                applied[static_cast<size_t>(s)].push_back(key.str());
+        });
 
     std::vector<std::string> keys;
     for (int i = 0; i != 40; ++i) {
@@ -697,20 +828,20 @@ TEST(ShardedServer, AppliedPutLogFollowsApplicationOrder) {
     // Each shard's log holds exactly the keys it owns, in submit order.
     size_t total = 0;
     for (int s = 0; s != 2; ++s) {
+        const std::vector<std::string>& log = applied[static_cast<size_t>(s)];
         size_t pos = 0;
         for (const std::string& k : keys) {
             if (shard_of(k, 2) != s)
                 continue;
-            ASSERT_LT(pos, ss.applied_puts(s).size());
-            EXPECT_EQ(ss.applied_puts(s)[pos].first, k);
+            ASSERT_LT(pos, log.size());
+            EXPECT_EQ(log[pos], k);
             ++pos;
         }
-        EXPECT_EQ(pos, ss.applied_puts(s).size());
+        EXPECT_EQ(pos, log.size());
         total += pos;
     }
     EXPECT_EQ(total, keys.size());
 }
-
 
 // A threaded two-shard deployment with the poster's posts on shard A
 // and the follower's timeline on shard B. A write observer on A's
@@ -903,7 +1034,6 @@ TEST(ShardedServer, NestedSubscribeKeepsPeerNotifiesInOrder) {
     ShardConfig cfg;
     cfg.shards = 2;
     cfg.joins = kTimelineJoin;
-    cfg.notify_batch_items = 1;  // one notify message per put
     cfg.persist.dir = td.sub("shards");  // staged notifies, one frame each
     ShardedServer ss(cfg);
     ShardClient& client = ss.make_client();
@@ -972,11 +1102,17 @@ TEST(ShardedServer, NestedSubscribeKeepsPeerNotifiesInOrder) {
     client.flush();
     ASSERT_TRUE(wait_for([&] { return parked.load(); }));
     put("s|" + follower + "|" + other, "1");  // B must subscribe p|other|
-    put(post(poster, 4), "p4");               // ...same frame as the follow
+    // The same frame fills two notify batches, so A's frame to B carries
+    // two notify messages: the follow opens the first, and the second
+    // is what B must apply before the later frame.
+    const uint64_t kBurst = 2 * kNotifyBatchItems - 1;
+    for (uint64_t ts = 4; ts != 4 + kBurst; ++ts)
+        put(post(poster, ts), "p" + std::to_string(ts));
     client.flush();
-    put(post(poster, 5), "p5");  // a later frame
+    put(post(poster, 4 + kBurst), "last");  // a later frame
     client.flush();
-    ASSERT_TRUE(wait_done(4)) << "shard A never acknowledged its puts";
+    ASSERT_TRUE(wait_done(kBurst + 3))
+        << "shard A never acknowledged its puts";
     gate.store(true, std::memory_order_release);
     ss.wait_idle();
 
@@ -986,7 +1122,7 @@ TEST(ShardedServer, NestedSubscribeKeepsPeerNotifiesInOrder) {
                 [&](const std::string& k, const ValuePtr& v) {
                     want.emplace_back(k, *v);
                 });
-    EXPECT_EQ(want.size(), 5u);
+    EXPECT_EQ(want.size(), kBurst + 4);
     EXPECT_EQ(timeline(), want);
     ss.stop();
     EXPECT_EQ(ss.subscriber(kB).next_seq(kA), ss.publisher(kA).next_seq(kB));

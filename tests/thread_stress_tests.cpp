@@ -1,6 +1,6 @@
 // Concurrency stress suite, built to run under ThreadSanitizer
 // (-DPEQUOD_TSAN=ON). Three layers, mirroring how the multi-shard
-// server (ROADMAP item 2) will be assembled:
+// server is assembled:
 //
 //  1. MpscQueue alone: producers hammer the lock-free mailbox while the
 //     consumer drains it; TSan checks the release/acquire pairing and
@@ -13,11 +13,12 @@
 //  3. The real ShardedServer (src/shard/) under worker threads: several
 //     producer clients drive puts and scans — including cross-shard
 //     follows, so the subscribe/backfill/notify protocol runs hot —
-//     through bounded mailboxes. Each shard logs the client puts it
-//     applied, in order; the test replays those logs into a sequential
-//     oracle Server and demands identical per-user timelines, proving
-//     the mailboxes neither drop, duplicate, nor tear operations and
-//     that cross-shard fan-out converges to the one-server semantics.
+//     through the mailboxes. A write observer on each shard logs the
+//     client puts it applied, in order; the test replays those logs
+//     into a sequential oracle Server and demands identical per-user
+//     timelines, proving the mailboxes neither drop, duplicate, nor
+//     tear operations and that cross-shard fan-out converges to the
+//     one-server semantics.
 //     It runs once without and once with a WAL, the two notify orders.
 #include <gtest/gtest.h>
 
@@ -200,11 +201,6 @@ void sharded_servers_match_sequential_replay(const std::string& persist_dir) {
     shard::ShardConfig cfg;
     cfg.shards = kShards;
     cfg.joins = kTimelineJoin;
-    // Bounded mailboxes so producer flushes hit real backpressure, and a
-    // small notify batch so fan-out flushes early and often under TSan.
-    cfg.mailbox_capacity = 8;
-    cfg.notify_batch_items = 4;
-    cfg.log_applied = true;
     cfg.persist.dir = persist_dir;
     shard::ShardedServer ss(cfg);
 
@@ -231,6 +227,19 @@ void sharded_servers_match_sequential_replay(const std::string& persist_dir) {
         ss.load(k, "seed");
         oracle.put(k, "seed");
     }
+
+    // Each shard's owned client puts, in the order it applies them, for
+    // the sequential replay below. The observer runs on the shard's
+    // worker; it also sees replicated notify items, which belong to
+    // their owner's log.
+    std::vector<std::vector<std::pair<std::string, std::string>>> applied(
+        kShards);
+    for (int s = 0; s != kShards; ++s)
+        ss.server(s).set_write_observer([&applied, s](Str key, Str value) {
+            if (shard::shard_of(key, kShards) == s)
+                applied[static_cast<size_t>(s)].emplace_back(key.str(),
+                                                             value.str());
+        });
 
     ss.start();
 
@@ -271,8 +280,18 @@ void sharded_servers_match_sequential_replay(const std::string& persist_dir) {
                     ++puts_outstanding;
                     break;
                 }
-                // Ship every few ops so frames carry real batches; the
-                // flush blocks when a mailbox is at capacity.
+                // Now and then a burst of posts in one frame, so a
+                // durable shard's notify batch fills and flushes early.
+                if (i % 50 == 49) {
+                    for (size_t k = 0; k != shard::kNotifyBatchItems + 6;
+                         ++k)
+                        client.submit_put("p|" + user + "|"
+                                              + pad_number(++ts, 10),
+                                          "burst by " + user);
+                    puts_outstanding += shard::kNotifyBatchItems + 6;
+                    client.flush();
+                }
+                // Ship every few ops so frames carry real batches.
                 if (client.pending_ops() >= 3)
                     client.flush();
                 while (client.poll_completion(done))
@@ -313,8 +332,8 @@ void sharded_servers_match_sequential_replay(const std::string& persist_dir) {
     // Replay each shard's applied-put log, in shard order, into the
     // oracle. Every key routes to exactly one shard, so per-key order is
     // preserved and the oracle's final base state matches the cluster's.
-    for (int s = 0; s != kShards; ++s)
-        for (const auto& kv : ss.applied_puts(s))
+    for (const auto& log : applied)
+        for (const auto& kv : log)
             oracle.put(kv.first, kv.second);
 
     // Compare per-user timelines, each read from the shard that owns it.

@@ -760,7 +760,7 @@ TEST(Server, ConfigurationsAgree) {
     for (bool subtables : {true, false})
         for (bool hints : {true, false}) {
             ServerConfig cfg;
-            cfg.store.enable_subtables = subtables;
+            cfg.enable_subtables = subtables;
             cfg.enable_output_hints = hints;
             Server server(cfg);
             server.set_subtable_components("t|", 1);
@@ -1416,7 +1416,7 @@ struct MarkPair {
                                                oracle(config(false)) {}
     static ServerConfig config(bool subtables) {
         ServerConfig c;
-        c.store.enable_subtables = subtables;
+        c.enable_subtables = subtables;
         return c;
     }
     void add_join(const std::string& spec) {

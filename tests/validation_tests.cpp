@@ -297,7 +297,7 @@ TEST(BruteForce, GroupMarksMatchRangeSetOracle) {
     // RangeSet-only oracle with subtables off. Every scan must agree and
     // the marked server must verify after every step.
     ServerConfig flat;
-    flat.store.enable_subtables = false;
+    flat.enable_subtables = false;
     Server marked;
     Server oracle(flat);
     for (Server* s : {&marked, &oracle}) {

@@ -2,7 +2,7 @@
 """pqcheck -- convention linter and call-graph analyzer for the Pequod tree.
 
 Checks the invariants of DESIGN.md sections 8, 11, 12 and 13 that a C++
-compiler cannot. One parse of the tree feeds three rule families
+compiler cannot. One parse of the tree feeds four rule families
 (contracts in DESIGN.md sections 11 and 14; rule table in README.md):
 
   token rules       str-member, hot-string, intervalmap-mutation,
@@ -19,6 +19,9 @@ compiler cannot. One parse of the tree feeds three rule families
                     perfbench/*.cc|*.hh files next to --root mention, and
                     without a compdb the mains under --root. A tree with
                     no root is not checked.
+  test-only-option  every field of a *Config struct under --root that no
+                    production file (under --root, a compdb TU outside
+                    tests/, a perfbench source) assigns.
 
 A finding is suppressed by `// pqcheck: allow(<rule>)` on the same line
 or the line directly above, and every suppression is counted. An allow()
@@ -44,7 +47,7 @@ TOKEN_RULES = ("str-member", "hot-string", "intervalmap-mutation",
                "transparent-comparator", "raw-io")
 RULES = ("owner-confinement", "flush-before-ack", "rename-sync",
          "no-alloc", "str-escape") + TOKEN_RULES + (
-             "unreachable", "stale-suppression")
+             "unreachable", "test-only-option", "stale-suppression")
 
 ALLOW_RE = re.compile(r"pqcheck:\s*allow\(([a-z\-,\s]+)\)")
 
@@ -526,6 +529,7 @@ def parse_head_function(head):
 
 
 PARSE_STOP_RE = re.compile(r"[(){};]")
+ACCESS_RE = re.compile(r"^(?:(?:public|private|protected)\s*:\s*)+")
 USING_RE = re.compile(r"\busing\s+([A-Za-z_]\w*)\s*=\s*([^;]+)$")
 
 
@@ -538,7 +542,8 @@ def parse_file(rel, stripped, line_starts):
     decl_anns = {}  # qname -> set of annotations (declarations only)
     members = {}    # class -> {member name: type string}
     aliases = {}    # class-or-"" -> {alias: type string}
-    scope = []      # (kind, name)
+    configs = {}    # qualified *Config struct -> (line, {field: type})
+    scope = []      # (kind, name[, qualified class name])
 
     def cur_class():
         return scope[-1][1] if scope and scope[-1][0] == "class" else None
@@ -571,11 +576,18 @@ def parse_file(rel, stripped, line_starts):
                     qname = "%s::%s" % (cls, name) if cls else name
                     decl_anns.setdefault(qname, set()).update(anns)
             elif cur_class():
-                dm = DECL_RE.match(head.strip())
+                decl = ACCESS_RE.sub("", head.strip())
+                dm = DECL_RE.match(decl)
                 if dm and dm.group(1) not in ("return", "delete",
                                               "typedef", "friend"):
+                    # Keep a pointer or reference mark: such a member
+                    # is not built with its class.
+                    ptr = decl[dm.end(1):dm.start(2)].strip()
                     members.setdefault(cur_class(), {})[
-                        dm.group(2)] = dm.group(1)
+                        dm.group(2)] = dm.group(1) + ptr
+                    qual = scope[-1][2]
+                    if qual in configs and not decl.startswith("static"):
+                        configs[qual][1][dm.group(2)] = dm.group(1)
             head_start = i + 1
         elif c == "{" and paren_depth == 0:
             head = stripped[head_start:i]
@@ -585,8 +597,12 @@ def parse_file(rel, stripped, line_starts):
             if nsm:
                 scope.append(("namespace", nsm.group(1) or ""))
             elif cls_name:
-                scope.append(("class", cls_name))
+                qual = "::".join([e[1] for e in scope if e[0] == "class"]
+                                 + [cls_name])
+                scope.append(("class", cls_name, qual))
                 members.setdefault(cls_name, {})
+                if cls_name.endswith("Config"):
+                    configs[qual] = (at(head_start + _first_code(head)), {})
             elif sig is not None:
                 qual, name, open_pos, close_pos, anns = sig
                 end = match_close(stripped, i, "{", "}")
@@ -619,7 +635,7 @@ def parse_file(rel, stripped, line_starts):
                 scope.pop()
             head_start = i + 1
         i += 1
-    return funcs, decl_anns, members, aliases
+    return funcs, decl_anns, members, aliases, configs
 
 
 def _first_code(head):
@@ -725,22 +741,31 @@ class Program:
         self.file_allows = {}  # rel -> {line: set(rules)}
         self.token_found = []  # token-rule findings
         self.root_refs = set()  # identifiers the TUs outside the root name
+        self.configs = {}      # qualified *Config struct -> (rel, line, fields)
+        self.prod_texts = []   # stripped text of every production file
         self._callers = None   # reverse call graph, built on first use
 
-    def add_root_file(self, path):
+    def add_root_file(self, path, production):
         """A TU outside the root only seeds reachability: no rule runs
-        over it, and every identifier it names is a root reference."""
+        over it, and every identifier it names is a root reference. A
+        production one (not a test) also counts for test-only-option."""
         with open(path, encoding="utf-8", errors="replace") as f:
-            self.root_refs.update(IDENT_RE.findall(strip_code(f.read())[0]))
+            stripped = strip_code(f.read())[0]
+        self.root_refs.update(IDENT_RE.findall(stripped))
+        if production:
+            self.prod_texts.append(stripped)
 
     def add_file(self, path, root):
         rel = os.path.relpath(path, root).replace(os.sep, "/")
         with open(path, encoding="utf-8", errors="replace") as f:
             stripped, comments = strip_code(f.read())
         line_starts = [0] + [m.end() for m in re.finditer("\n", stripped)]
-        funcs, decl_anns, members, aliases = \
+        funcs, decl_anns, members, aliases, configs = \
             parse_file(rel, stripped, line_starts)
         self.token_found.extend(token_findings(rel, stripped, line_starts))
+        self.prod_texts.append(stripped)
+        for qual, (line, fields) in configs.items():
+            self.configs[qual] = (rel, line, fields)
         self.file_allows[rel] = allow_sets(comments.split("\n"))
         self.funcs.extend(funcs)
         for f in funcs:
@@ -1143,7 +1168,8 @@ def rule_unreachable(program):
     name (all overrides, all overloads, function pointers), and naming
     a class, or an alias of it, reaches its constructors, destructor
     and the allocator methods a std:: container calls through a
-    template argument."""
+    template argument, and the same for the class of each by-value data
+    member."""
     mains = [f for f in program.funcs if f.name == "main" and f.cls is None]
     if not mains and not program.root_refs:
         return []  # a library with no entry point: nothing to measure
@@ -1161,11 +1187,28 @@ def rule_unreachable(program):
             out = out + targets(aliased[name])
         return out
 
+    def member_types(cls):
+        """The classes of `cls`'s by-value data members: building or
+        destroying a `cls` builds or destroys each of them, though no
+        source line names their constructors."""
+        out = []
+        for t in program.members.get(cls, {}).values():
+            if t.endswith(("*", "&")):
+                continue
+            name = IDENT_RE.findall(t.split("<")[0])
+            if name and name[-1] in program.classes:
+                out.append(name[-1])
+        return out
+
     reached = set(mains)
     stack = list(mains)
+    built = set()  # classes already named
 
     def visit(names):
         for name in names:
+            if name in program.classes and name not in built:
+                built.add(name)
+                visit(member_types(name))
             for g in targets(name):
                 if g not in reached:
                     reached.add(g)
@@ -1178,6 +1221,95 @@ def rule_unreachable(program):
              "%s has no caller on any path from a bench, test or main "
              "root; delete it or give it its job" % f.qname)
             for f in program.funcs if f not in reached]
+
+
+# `a.b->c = ...`, `a[i].b += ...`: a member chain before an assignment
+# operator (not ==, <=, >= or !=).
+ASSIGN_RE = re.compile(
+    r"(?<![\w.>\]])((?:[A-Za-z_]\w*(?:\[[^][]{0,80}\])?\s*(?:\.|->)\s*)+)"
+    r"([A-Za-z_]\w*)\s*(?:[-+*/%&|^]|<<|>>)?=(?!=)")
+# A designated initializer, `{.field = ...}`: its struct is not spelled.
+DESIGNATED_RE = re.compile(r"[{,]\s*\.([A-Za-z_]\w*)\s*=(?!=)")
+# A variable and its declared type: `Type name;`, `const Type& name)`...
+DECL_ANY_RE = re.compile(
+    r"([A-Za-z_][\w:]*(?:<[^<>;(){}]{0,120}>)?)\s*[*&]*\s+([A-Za-z_]\w*)"
+    r"\s*[;=({,)\[]")
+
+
+def config_structs(program, tstr):
+    """The *Config structs a declared type string may name: a struct
+    matches when its qualified name and the type agree on their shared
+    trailing components (`Config` names every nested Config)."""
+    t = re.sub(r"\b(?:const|volatile|struct)\b", " ", tstr).split("<")[0]
+    parts = [p for p in re.split(r"\s*::\s*", t.strip(" *&\t\n")) if p]
+    out = set()
+    for qual in program.configs:
+        q = qual.split("::")
+        k = min(len(q), len(parts))
+        if k and q[-k:] == parts[-k:]:
+            out.add(qual)
+    return out
+
+
+def rule_test_only_option(program):
+    """*Config struct fields under the root that no production file
+    assigns. Production files are the root's own, the compdb's TUs
+    outside tests/ and the perfbench/ sources. An assignment is typed
+    through the declared type of its chain's first name in the same
+    file; an untyped one counts for every config field of that name."""
+    by_field = {}
+    for qual, (_rel, _line, fields) in program.configs.items():
+        for name in fields:
+            by_field.setdefault(name, set()).add(qual)
+    assigned = set()  # (struct, field)
+
+    def mark(quals, field):
+        for q in by_field.get(field, ()) if quals is None else quals:
+            if field in program.configs[q][2]:
+                assigned.add((q, field))
+
+    def mark_chain(decls, chain):
+        """Mark every field the chain `a.b.c` sets: setting `c` sets
+        part of `b` too. Each hop is typed from `a`'s declared types in
+        `decls`; from an untyped hop on, by name alone."""
+        types = decls.get(chain[0], set())
+        for i, tok in enumerate(chain[1:], 1):
+            if not types:
+                mark(None, tok)
+                continue
+            nxt, foreign = set(), False
+            for t in types:
+                quals = config_structs(program, t)
+                mark(quals, tok)
+                nxt |= {program.configs[q][2].get(tok, "") for q in quals}
+                cls = None if quals else program.class_of_type(t, None)
+                if cls:
+                    nxt.add(program.members.get(cls, {}).get(tok, ""))
+                foreign = foreign or not (quals or cls)
+            # A foreign type's members are unknown: type the rest by name.
+            types = set() if foreign and i + 1 < len(chain) else nxt - {""}
+
+    for text in program.prod_texts:
+        decls = {}
+        for m in DECL_ANY_RE.finditer(text):
+            if m.group(1) not in KEYWORDS and m.group(1) != "auto":
+                decls.setdefault(m.group(2), set()).add(m.group(1))
+        for m in ASSIGN_RE.finditer(text):
+            mark_chain(decls, WORD_RE.findall(
+                re.sub(r"\[[^][]*\]", "", m.group(1))) + [m.group(2)])
+        for m in DESIGNATED_RE.finditer(text):
+            mark(None, m.group(1))
+
+    found = []
+    for qual, (rel, line, fields) in sorted(program.configs.items()):
+        unset = [f for f in fields if (qual, f) not in assigned]
+        if unset:
+            found.append((
+                rel, line, "test-only-option",
+                "%s: no production file sets %s; make each a named "
+                "constant where it is used, or delete it with the code "
+                "only it needs" % (qual, ", ".join(unset))))
+    return found
 
 
 # ---- driver -----------------------------------------------------------------
@@ -1281,14 +1413,18 @@ def main(argv):
     program = Program()
     for path in files:
         program.add_file(path, args.root)
-    for path in outside + bench_files(args.root):
-        program.add_root_file(path)
+    top = os.path.dirname(os.path.abspath(args.root))
+    for path in outside:
+        rel = os.path.relpath(path, top).replace(os.sep, "/")
+        program.add_root_file(path, not rel.startswith("tests/"))
+    for path in bench_files(args.root):
+        program.add_root_file(path, True)
     program.finish()
 
     found = list(program.token_found)
     for rule in (rule_owner_confinement, rule_flush_before_ack,
                  rule_rename_sync, rule_noalloc, rule_str_escape,
-                 rule_unreachable):
+                 rule_unreachable, rule_test_only_option):
         found.extend(rule(program))
     violations = suppress(found, program.file_allows)
     active = [v for v in violations if not v["suppressed"]]
